@@ -25,8 +25,6 @@ from .goldbach import (
     Decomposition,
     GoldbachPair,
     decompose,
-    mean_delta_literal,
-    mean_delta_weighted,
 )
 from .metrics import (
     MetricsReport,
@@ -42,9 +40,8 @@ from .netbuild import (
     build,
     build_many,
     select_pair,
-    snapshots,
 )
-from .primes import PrimeTable, build_table, is_prime
+from .primes import PrimeTable, build_table
 
 __version__ = "0.1.0"
 
@@ -75,13 +72,9 @@ __all__ = [
     "degree_stats",
     "errors",
     "growth_curves",
-    "is_prime",
-    "mean_delta_literal",
-    "mean_delta_weighted",
     "realization_seed",
     "run_sweep",
     "sample_gnm",
     "select_pair",
     "shortest_distance_stats",
-    "snapshots",
 ]

@@ -1,7 +1,6 @@
 """Uniform G(N, M) null model matched to a measured graph."""
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -61,18 +60,6 @@ class GnmGraph:
 
     def edge_endpoints(self):
         return self.edge_u, self.edge_v
-
-    def write_edge_list(self, path):
-        """Same plain-text layout as the prime network, tagged "gnm".
-
-        Null-model edges have no originating even number, so lines carry
-        the two endpoints only.
-        """
-        lines = [f"# gnm seed={self.seed} M={self.num_edges} N={self.num_nodes}"]
-        lines.extend(
-            f"{u} {v}" for u, v in zip(self.edge_u.tolist(), self.edge_v.tolist())
-        )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def sample_gnm(cfg):

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -30,12 +29,9 @@ from .primes import build_table
 
 def _parse_alpha(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("alpha must not be NaN")
-    return value
 
 
 def _parse_alpha_list(text):
@@ -95,8 +91,6 @@ def _write_manifest(out_dir, argv, config, master_seed, artifacts, started):
 
 def _cmd_build(args, argv):
     started = time.time()
-    if (args.max_even is None) == (args.target_nodes is None):
-        raise ValueError("set exactly one of --max-even / --target-nodes")
     cfg = BuildConfig(
         alpha=args.alpha,
         seed=args.seed,
@@ -133,7 +127,6 @@ def _cmd_build(args, argv):
         "max_even_cap": args.max_even_cap,
         "seed": args.seed,
         "clustering": args.clustering,
-        "distance_scope": args.distance_scope,
         "out": str(out),
     }
     _write_manifest(out, argv, config, args.seed, artifacts, started)
@@ -202,7 +195,6 @@ def _cmd_sweep(args, argv):
         "max_even_cap": spec.max_even_cap,
         "seed": spec.master_seed,
         "clustering": spec.clustering,
-        "distance_scope": args.distance_scope,
         "format": args.format,
         "out": str(out),
     }
@@ -258,11 +250,9 @@ def _add_common(parser):
     parser.add_argument("--clustering", choices=["standard", "paper"],
                         default="standard",
                         help="neighbor-pair denominator: k(k-1)/2 or k(k+1)/2")
-    parser.add_argument("--distance-scope", choices=["reachable"],
-                        default="reachable",
-                        help="distance averages cover reachable pairs only")
     parser.add_argument("--max-even-cap", type=int, default=DEFAULT_MAX_EVEN_CAP,
-                        help="largest even number a build may consume")
+                        help="sieve bound: the largest even number a "
+                             "node-count build or a sweep consumes")
 
 
 def make_parser():

@@ -7,7 +7,6 @@ value, and the matched null-model sample for (alpha index a, realization i,
 snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 """
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .baseline import NullModelConfig, baseline_report
 from .metrics import MetricsReport, compute_report
-from .netbuild import build_many
+from .netbuild import build_many, check_run
 from .primes import build_table
 
 SEED_RULE = (
@@ -53,16 +52,14 @@ class SweepSpec:
     clustering: str = "standard"
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas:
-            raise ValueError("alphas must be nonempty")
-        if any(math.isnan(a) for a in alphas):
-            raise ValueError("alpha must not be NaN")
-        object.__setattr__(self, "alphas", alphas)
         snaps = tuple(int(s) for s in self.snapshot_nodes)
         if not snaps or any(b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot_nodes must be nonempty, strictly increasing")
         object.__setattr__(self, "snapshot_nodes", snaps)
+        alphas = tuple(check_run(a, (None, snaps[-1])) for a in self.alphas)
+        if not alphas:
+            raise ValueError("alphas must be nonempty")
+        object.__setattr__(self, "alphas", alphas)
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if self.max_even_cap < 8 or self.max_even_cap % 2:
@@ -207,7 +204,6 @@ def _run_alpha_cell(spec, alpha_index, table=None):
         alpha,
         seeds,
         target_nodes=max(spec.snapshot_nodes),
-        max_even_cap=spec.max_even_cap,
         on_exhaust="partial",
     )
     warnings = []

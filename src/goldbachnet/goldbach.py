@@ -3,10 +3,7 @@
 An even n >= 8 splits as n = p + q with p < q both odd primes; the spread
 of a pair is delta = q - p. Within one number every pair has a distinct
 spread (delta = n - 2p), which the selection machinery in
-:mod:`goldbachnet.netbuild` relies on. Two conventions for the average
-spread under delta**alpha weighting are provided: the plain unweighted
-mean of delta**(alpha+1), and the expectation of delta under the actual
-normalized selection weights.
+:mod:`goldbachnet.netbuild` relies on.
 """
 
 from typing import NamedTuple
@@ -93,21 +90,3 @@ def decompose(table, n):
         raise UndecomposableEven(f"no prime pair p < q found for {n}")
     return Decomposition(n, p, q)
 
-
-def mean_delta_literal(decomp, alpha):
-    """Unweighted average spread: (1/omega) * sum(delta ** (alpha + 1))."""
-    d = decomp.delta.astype(np.float64)
-    return float(np.mean(d ** (float(alpha) + 1.0)))
-
-
-def mean_delta_weighted(decomp, alpha):
-    """Expected spread under delta**alpha selection weights.
-
-    Returns sum(delta**(alpha+1)) / sum(delta**alpha), evaluated as
-    max-rescaled exponentials of alpha*log(delta) so that spreads up to
-    ~10**6 stay finite for strongly negative or positive alpha.
-    """
-    alpha = float(alpha)
-    logw = alpha * np.log(decomp.delta.astype(np.float64))
-    w = np.exp(logw - logw.max())
-    return float(np.sum(w * decomp.delta) / np.sum(w))

@@ -22,6 +22,28 @@ from .goldbach import GoldbachPair, decompose
 _UNIFORM_BLOCK = 4096
 
 
+def check_run(alpha, stop=None):
+    """Validate a spread exponent and, if given, a stop rule; return float alpha.
+
+    ``stop`` is ``(max_even, target_nodes)``, exactly one of them set:
+    process every even number up to and including ``max_even``, or stop
+    once the node count first reaches ``target_nodes``.
+    """
+    alpha = float(alpha)
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
+    if stop is None:
+        return alpha
+    max_even, target_nodes = stop
+    if (max_even is None) == (target_nodes is None):
+        raise ValueError("set exactly one of max_even / target_nodes")
+    if max_even is not None and (max_even < 8 or max_even % 2):
+        raise ValueError(f"max_even must be even and >= 8, got {max_even}")
+    if target_nodes is not None and target_nodes < 2:
+        raise ValueError(f"target_nodes must be >= 2, got {target_nodes}")
+    return alpha
+
+
 def _cumulative_weights(delta, alpha):
     # max-rescaled exponentials; naive delta**alpha overflows for |alpha| ~ 5
     # once spreads reach ~10**6
@@ -30,14 +52,28 @@ def _cumulative_weights(delta, alpha):
     return np.cumsum(w)
 
 
+def _pick(delta, alpha, draws):
+    """Index of the pair each uniform of ``draws`` selects, as an array.
+
+    For finite alpha, pair i is chosen iff the draw lands in the i-th
+    cumulative slot of the normalized delta**alpha weights. For
+    alpha = +inf (-inf) every draw picks the largest (smallest) spread;
+    ties are impossible because spreads within one even number are distinct.
+    """
+    if alpha == math.inf:
+        return np.full(len(draws), np.argmax(delta))
+    if alpha == -math.inf:
+        return np.full(len(draws), np.argmin(delta))
+    cum = _cumulative_weights(delta, alpha)
+    return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"),
+                      delta.size - 1)
+
+
 def select_pair(decomp, alpha, rng_draw):
     """Pick one pair of ``decomp`` from a single uniform draw.
 
-    For finite alpha, pair i is chosen iff ``rng_draw`` lands in the i-th
-    cumulative slot of the normalized delta**alpha weights. For
-    alpha = +inf (-inf) the pair with the largest (smallest) spread is
-    returned and the draw is ignored; ties are impossible because spreads
-    within one even number are distinct.
+    The one-draw case of the selection ``build_many`` makes for every even
+    number (see ``_pick``); for alpha = +inf (-inf) the draw is ignored.
 
     Parameters
     ----------
@@ -51,50 +87,28 @@ def select_pair(decomp, alpha, rng_draw):
     -------
     GoldbachPair
     """
-    alpha = float(alpha)
-    if math.isnan(alpha):
-        raise ValueError("alpha must not be NaN")
-    if alpha == math.inf:
-        i = int(np.argmax(decomp.delta))
-    elif alpha == -math.inf:
-        i = int(np.argmin(decomp.delta))
-    else:
-        cum = _cumulative_weights(decomp.delta, alpha)
-        i = int(np.searchsorted(cum, rng_draw * cum[-1], side="right"))
-        i = min(i, decomp.omega - 1)
+    alpha = check_run(alpha)
+    i = int(_pick(decomp.delta, alpha, np.array([float(rng_draw)]))[0])
     return GoldbachPair(int(decomp.p[i]), int(decomp.q[i]), int(decomp.delta[i]))
 
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """One construction run: spread exponent, stop rule, seed, checkpoints.
+    """One construction run: spread exponent, stop rule and seed.
 
-    Exactly one of ``max_even`` (process every even number up to and
-    including it) and ``target_nodes`` (stop once the node count first
-    reaches it) must be set.
+    Exactly one of ``max_even`` and ``target_nodes`` must be set; see
+    ``check_run``.
     """
 
     alpha: float
     seed: int
     max_even: int | None = None
     target_nodes: int | None = None
-    snapshot_nodes: tuple = ()
 
     def __post_init__(self):
-        if math.isnan(float(self.alpha)):
-            raise ValueError("alpha must not be NaN")
-        if (self.max_even is None) == (self.target_nodes is None):
-            raise ValueError("set exactly one of max_even / target_nodes")
-        if self.max_even is not None and (self.max_even < 8 or self.max_even % 2):
-            raise ValueError(f"max_even must be even and >= 8, got {self.max_even}")
-        if self.target_nodes is not None and self.target_nodes < 2:
-            raise ValueError(f"target_nodes must be >= 2, got {self.target_nodes}")
+        check_run(self.alpha, (self.max_even, self.target_nodes))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        snaps = tuple(int(s) for s in self.snapshot_nodes)
-        if any(b <= a for a, b in zip(snaps, snaps[1:])):
-            raise ValueError("snapshot_nodes must be strictly increasing")
-        object.__setattr__(self, "snapshot_nodes", snaps)
 
 
 class PrimeGraph:
@@ -114,7 +128,6 @@ class PrimeGraph:
         "seed",
         "exhausted",
         "_labels",
-        "_adj",
     )
 
     def __init__(self, edge_p, edge_q, edge_even, node_count_history, alpha, seed,
@@ -127,7 +140,6 @@ class PrimeGraph:
         self.seed = int(seed)
         self.exhausted = bool(exhausted)
         self._labels = None
-        self._adj = None
 
     def __repr__(self):
         return (
@@ -151,10 +163,6 @@ class PrimeGraph:
         return self._labels
 
     @property
-    def nodes(self):
-        return set(self.node_labels.tolist())
-
-    @property
     def edges(self):
         """Insertion-ordered list of (p, q, source_even) tuples."""
         return list(
@@ -172,38 +180,6 @@ class PrimeGraph:
     def edge_endpoints(self):
         return self.edge_p, self.edge_q
 
-    def adjacency(self):
-        """Map prime -> sorted array of neighbor primes."""
-        if self._adj is None:
-            adj = {}
-            src = np.concatenate([self.edge_p, self.edge_q])
-            dst = np.concatenate([self.edge_q, self.edge_p])
-            order = np.lexsort((dst, src))
-            src = src[order]
-            dst = dst[order]
-            bounds = np.flatnonzero(np.diff(src)) + 1
-            for chunk_src, chunk_dst in zip(
-                np.split(src, bounds), np.split(dst, bounds)
-            ):
-                if chunk_src.size:
-                    adj[int(chunk_src[0])] = chunk_dst
-            self._adj = adj
-        return self._adj
-
-    def prefix(self, m_edges):
-        """Frozen state after the first ``m_edges`` insertions."""
-        if not 1 <= m_edges <= self.num_edges:
-            raise ValueError(f"prefix length {m_edges} outside [1, {self.num_edges}]")
-        return PrimeGraph(
-            self.edge_p[:m_edges],
-            self.edge_q[:m_edges],
-            self.edge_even[:m_edges],
-            self.node_count_history[:m_edges],
-            self.alpha,
-            self.seed,
-            exhausted=self.exhausted,
-        )
-
     def snapshot_at(self, n_star):
         """State at the first moment the node count reached ``n_star``.
 
@@ -212,7 +188,16 @@ class PrimeGraph:
         idx = int(np.searchsorted(self.node_count_history, int(n_star), side="left"))
         if idx >= self.num_edges:
             return None
-        return self.prefix(idx + 1)
+        m = idx + 1
+        return PrimeGraph(
+            self.edge_p[:m],
+            self.edge_q[:m],
+            self.edge_even[:m],
+            self.node_count_history[:m],
+            self.alpha,
+            self.seed,
+            exhausted=self.exhausted,
+        )
 
     def write_edge_list(self, path):
         """Plain-text export: header line, then one "p q n" line per edge."""
@@ -283,7 +268,7 @@ class _Realization:
 
 
 def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
-               max_even_cap=None, on_exhaust="raise"):
+               on_exhaust="raise"):
     """Build one realization per seed, sharing the per-even-number work.
 
     Bit-for-bit equivalent to building each seed on its own: realization i
@@ -293,12 +278,11 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
     Parameters
     ----------
     table : PrimeTable
+        Its sieve bound is the largest even number consumed.
     alpha : float
     seeds : sequence of int
     max_even, target_nodes : int, optional
         Stop rule; exactly one must be given.
-    max_even_cap : int, optional
-        Safety bound on the even numbers consumed in target_nodes mode.
     on_exhaust : {"raise", "partial"}
         Whether running out of even numbers before reaching target_nodes
         raises SieveExhausted or returns the partial graphs flagged
@@ -308,68 +292,40 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
     -------
     list of PrimeGraph
     """
-    alpha = float(alpha)
-    if math.isnan(alpha):
-        raise ValueError("alpha must not be NaN")
-    if (max_even is None) == (target_nodes is None):
-        raise ValueError("set exactly one of max_even / target_nodes")
+    alpha = check_run(alpha, (max_even, target_nodes))
     if on_exhaust not in ("raise", "partial"):
         raise ValueError(f"unknown on_exhaust mode {on_exhaust!r}")
-    if max_even is not None:
-        if max_even < 8 or max_even % 2:
-            raise ValueError(f"max_even must be even and >= 8, got {max_even}")
-        if max_even > table.limit + 3:
-            raise OutOfRange(
-                f"max_even={max_even} needs a sieve up to {max_even - 3}, "
-                f"table stops at {table.limit}"
-            )
+    if max_even is not None and max_even > table.limit:
+        raise OutOfRange(
+            f"max_even={max_even} needs a sieve up to it, "
+            f"table stops at {table.limit}"
+        )
 
     finite = math.isfinite(alpha)
     states = [_Realization(s) for s in seeds]
     active = list(states)
-    hard_stop = table.limit + 3
-    if max_even_cap is not None:
-        hard_stop = min(hard_stop, int(max_even_cap))
 
     n = 8
     j = 0
     while active:
         if max_even is not None and n > max_even:
             break
-        if n > hard_stop:
+        if n > table.limit:
             if on_exhaust == "raise":
                 st = active[0]
-                goal = (f"{target_nodes} nodes" if target_nodes is not None
-                        else f"evens up to {max_even}")
                 raise SieveExhausted(
-                    f"even numbers exhausted at {n - 2} (bound {hard_stop}): "
-                    f"reached N={st.count} of {goal} with "
+                    f"even numbers exhausted at {n - 2} (bound {table.limit}): "
+                    f"reached N={st.count} of {target_nodes} nodes with "
                     f"M={len(st.p)} links at alpha={alpha!r}"
                 )
             for st in active:
                 st.exhausted = True
             break
         decomp = decompose(table, n)
-        delta = decomp.delta
-        last = delta.size - 1
-        if last == 0:
-            picks = [0] * len(active)
-            if finite:
-                for st in active:
-                    st.uniform(j)  # keep the stream aligned with omega > 1 runs
-        elif finite:
-            cum = _cumulative_weights(delta, alpha)
-            total = cum[-1]
-            draws = np.array([st.uniform(j) for st in active])
-            picks = np.minimum(
-                np.searchsorted(cum, draws * total, side="right"), last
-            )
-        else:
-            i0 = int(np.argmax(delta)) if alpha > 0 else int(np.argmin(delta))
-            picks = [i0] * len(active)
-
+        # +inf and -inf ignore the draw and consume no uniform
+        draws = np.array([st.uniform(j) if finite else 0.0 for st in active])
         done = []
-        for st, i in zip(active, picks):
+        for st, i in zip(active, _pick(decomp.delta, alpha, draws)):
             st.add_edge(int(decomp.p[i]), int(decomp.q[i]), n)
             if target_nodes is not None and st.count >= target_nodes:
                 done.append(st)
@@ -392,13 +348,3 @@ def build(cfg, table):
         on_exhaust="raise",
     )[0]
 
-
-def snapshots(graph, cfg):
-    """Frozen subgraphs at each node-count checkpoint of ``cfg``.
-
-    Returns a list of (checkpoint, PrimeGraph-or-None) in checkpoint order;
-    None marks checkpoints the graph never reached.
-    """
-    if not cfg.snapshot_nodes:
-        raise ValueError("cfg.snapshot_nodes is empty")
-    return [(int(ns), graph.snapshot_at(ns)) for ns in cfg.snapshot_nodes]

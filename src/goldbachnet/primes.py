@@ -72,7 +72,3 @@ def build_table(limit):
     ordered = np.flatnonzero(flags).astype(np.int64)
     return PrimeTable(limit, ordered, np.packbits(flags))
 
-
-def is_prime(table, n):
-    """Module-level alias for :meth:`PrimeTable.is_prime`."""
-    return table.is_prime(n)

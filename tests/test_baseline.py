@@ -98,12 +98,3 @@ def test_matched_baseline_report(table_30k):
     assert base.n_edges == rep.n_edges
     assert base.mean_k == pytest.approx(rep.mean_k, abs=1e-12)
 
-
-def test_gnm_edge_list_export(tmp_path):
-    g = sample_gnm(NullModelConfig(5, 4, seed=2))
-    path = tmp_path / "gnm.txt"
-    g.write_edge_list(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"# gnm seed=2 M=4 N=5"
-    assert len(lines) == 5
-    assert all(len(line.split()) == 2 for line in lines[1:])

@@ -1,0 +1,19 @@
+"""The demos run end to end against the package in this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_build_a_network.py", "04_figure_datasets.py"])
+def test_demo_runs(tmp_path, demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -82,8 +82,7 @@ def test_run_sweep_single_realization_equals_report(table_30k):
     assert cell.n_realizations == 1
     from goldbachnet import build_many, realization_seed
 
-    g = build_many(table_30k, 0.0, [realization_seed(7, 0)], target_nodes=80,
-                   max_even_cap=20_000)[0]
+    g = build_many(table_30k, 0.0, [realization_seed(7, 0)], target_nodes=80)[0]
     rep = compute_report(g.snapshot_at(80))
     for name in MR.SCALAR_FIELDS:
         value = getattr(rep, name)

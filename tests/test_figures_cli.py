@@ -125,7 +125,17 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     rc = main(["build", "--alpha", "0", "--target-nodes", "99999",
                "--max-even-cap", "1000", "--out", str(tmp_path / "x")])
     assert rc == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "exhausted at 1000 " in err  # the cap is the last even consumed
+
+
+def test_cli_nan_alpha_exit_2(tmp_path):
+    for argv in (["build", "--alpha", "nan", "--max-even", "100"],
+                 ["sweep", "--alphas", "0,nan", "--snapshots", "50",
+                  "--max-even-cap", "20000"],
+                 ["figure", "6", "--alphas", "nan", "--max-even", "100"]):
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 2, argv
 
 
 def test_cli_sweep_outputs(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goldbachnet import decompose, mean_delta_literal, mean_delta_weighted
+from goldbachnet import decompose
 from goldbachnet.errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
 from goldbachnet.primes import PrimeTable, build_table
 
@@ -71,51 +71,3 @@ def test_undecomposable_aborts_loudly():
     with pytest.raises(UndecomposableEven):
         decompose(hollow, 20)
 
-
-def test_mean_delta_literal_values(table_2k):
-    d24 = decompose(table_2k, 24)
-    assert mean_delta_literal(d24, 0.0) == pytest.approx(26 / 3, rel=1e-12)
-    d8 = decompose(table_2k, 8)
-    for alpha in (-3.0, -1.0, 0.0, 1.7, 4.0):
-        assert mean_delta_literal(d8, alpha) == pytest.approx(
-            2.0 ** (alpha + 1), rel=1e-12
-        )
-    for n in (24, 100, 246):
-        assert mean_delta_literal(decompose(table_2k, n), -1.0) == 1.0
-
-
-def test_mean_delta_weighted_values(table_2k):
-    d24 = decompose(table_2k, 24)
-    assert mean_delta_weighted(d24, 1.0) == pytest.approx(300 / 26, rel=1e-12)
-    d8 = decompose(table_2k, 8)
-    for alpha in (-5.0, 0.0, 5.0):
-        assert mean_delta_weighted(d8, alpha) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_weighted_equals_literal_at_alpha_zero(table_2k):
-    for n in (24, 48, 100, 512, 1000):
-        d = decompose(table_2k, n)
-        assert mean_delta_weighted(d, 0.0) == mean_delta_literal(d, 0.0)
-
-
-def test_weighted_monotone_in_alpha(table_30k):
-    grid = np.linspace(-6, 6, 25)
-    for n in (24, 100, 1234, 20_000):
-        d = decompose(table_30k, n)
-        values = [mean_delta_weighted(d, a) for a in grid]
-        assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-
-
-def test_weighted_stable_at_extreme_alpha(table_30k):
-    # limits: strongly negative alpha concentrates on the smallest spread,
-    # strongly positive on the largest; no overflow on the way
-    d = decompose(table_30k, 20_000)
-    lo = mean_delta_weighted(d, -150.0)
-    hi = mean_delta_weighted(d, 150.0)
-    # the smallest spread is well separated in ratio, the largest spreads
-    # cluster within ~0.04% of each other, hence the looser upper check
-    assert lo == pytest.approx(float(d.delta.min()), rel=1e-9)
-    assert hi == pytest.approx(float(d.delta.max()), rel=0.01)
-    assert np.isfinite(mean_delta_weighted(d, -60.0))
-    assert np.isfinite(mean_delta_weighted(d, 60.0))
-    assert np.isfinite(mean_delta_literal(d, 5.0))

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from goldbachnet import (
-    BuildConfig,
-    build,
-    build_many,
-    decompose,
-    select_pair,
-    snapshots,
-)
+from goldbachnet import BuildConfig, build, build_many, decompose, select_pair
 from goldbachnet.errors import OutOfRange, SieveExhausted
+from goldbachnet.netbuild import _cumulative_weights, _pick
 
 INF = math.inf
 
@@ -50,18 +44,16 @@ def test_selection_frequencies_3sigma(table_2k):
     d = decompose(table_2k, 24)
     rng = np.random.default_rng(123)
     trials = 10_000
-    counts = {5: 0, 7: 0, 11: 0}
-    for u in rng.random(trials):
-        counts[select_pair(d, 1.0, float(u)).p] += 1
-    for p, prob in ((5, 14 / 26), (7, 10 / 26), (11, 2 / 26)):
+    counts = np.bincount(_pick(d.delta, 1.0, rng.random(trials)), minlength=3)
+    for i, prob in enumerate((14 / 26, 10 / 26, 2 / 26)):
         sigma = math.sqrt(prob * (1 - prob) / trials)
-        assert abs(counts[p] / trials - prob) < 3 * sigma
+        assert abs(counts[i] / trials - prob) < 3 * sigma
 
 
 def test_build_first_even_only(table_2k):
     g = build(BuildConfig(alpha=0.0, seed=1, max_even=8), table_2k)
     assert g.edges == [(3, 5, 8)]
-    assert g.nodes == {3, 5}
+    assert g.node_labels.tolist() == [3, 5]
     assert (g.num_edges, g.num_nodes) == (1, 2)
     assert g.growth_log.tolist() == [[1, 2]]
 
@@ -142,16 +134,12 @@ def test_positive_alpha_grows_faster(table_30k):
 
 
 def test_snapshots_basic(table_30k):
-    cfg = BuildConfig(alpha=0.0, seed=2, max_even=4000, snapshot_nodes=(2, 50, 10**6))
-    g = build(cfg, table_30k)
-    shots = snapshots(g, cfg)
-    assert shots[0][0] == 2 and shots[0][1].num_edges == 1
-    n50 = shots[1][1]
+    g = build(BuildConfig(alpha=0.0, seed=2, max_even=4000), table_30k)
+    assert g.snapshot_at(2).num_edges == 1
+    n50 = g.snapshot_at(50)
     assert n50.num_nodes >= 50
     assert n50.node_count_history[-2] < 50  # first crossing, not a later state
-    assert shots[2][1] is None  # unreachable checkpoints are absent
-    with pytest.raises(ValueError):
-        snapshots(g, BuildConfig(alpha=0.0, seed=2, max_even=4000))
+    assert g.snapshot_at(10**6) is None  # unreachable checkpoints are absent
 
 
 def test_snapshot_prefix_consistency(table_30k):
@@ -175,7 +163,7 @@ def test_exhaust_partial_mode(table_2k):
                         on_exhaust="partial")
     assert all(g.exhausted for g in graphs)
     assert all(g.num_edges > 0 for g in graphs)
-    assert all(int(g.edge_even[-1]) <= table_2k.limit + 3 for g in graphs)
+    assert all(int(g.edge_even[-1]) <= table_2k.limit for g in graphs)
 
 
 def test_max_even_beyond_sieve(table_2k):
@@ -195,8 +183,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BuildConfig(alpha=float("nan"), seed=1, max_even=100)
     with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=1, max_even=100, snapshot_nodes=(5, 5))
-    with pytest.raises(ValueError):
         BuildConfig(alpha=0.0, seed=-1, max_even=100)
 
 
@@ -211,15 +197,6 @@ def test_edge_list_export(tmp_path, table_2k):
     )
 
 
-def test_adjacency_view(table_2k):
-    g = build(BuildConfig(alpha=0.0, seed=1, max_even=12), table_2k)
-    adj = g.adjacency()
-    assert sorted(adj) == [3, 5, 7]
-    assert adj[3].tolist() == [5, 7]
-    assert adj[5].tolist() == [3, 7]
-    assert adj[7].tolist() == [3, 5]
-
-
 def test_selection_frequencies_3sigma_large_even(table_1m):
     # alpha=-2.5 over n=100002 (1423 pairs): the six likeliest pairs hold
     # about 85% of the mass; exact probabilities from delta**alpha directly
@@ -229,14 +206,26 @@ def test_selection_frequencies_3sigma_large_even(table_1m):
     prob = weights / weights.sum()
     likeliest = np.argsort(prob)[::-1][:6]
     rng = np.random.default_rng(20260808)
-    counts = {}
-    for u in rng.random(trials):
-        p = select_pair(d, alpha, float(u)).p
-        counts[p] = counts.get(p, 0) + 1
+    counts = np.bincount(_pick(d.delta, alpha, rng.random(trials)),
+                         minlength=d.omega)
     for i in likeliest:
         sigma = math.sqrt(prob[i] * (1 - prob[i]) / trials)
-        observed = counts.get(int(d.p[i]), 0) / trials
+        observed = counts[i] / trials
         assert abs(observed - prob[i]) < 3 * sigma, (
             f"pair ({d.p[i]}, {d.q[i]}): observed {observed:.5f}, "
             f"expected {prob[i]:.5f} +- {3 * sigma:.5f}"
         )
+
+
+def test_pick_stable_at_extreme_alpha(table_30k):
+    # max-rescaled weights stay finite where delta**alpha would overflow;
+    # strongly negative alpha concentrates on the smallest spread, strongly
+    # positive on the largest spreads, which cluster within ~0.04% at the top
+    d = decompose(table_30k, 20_000)
+    draws = np.linspace(0.0, 1.0, 1001)[1:-1]
+    for alpha in (-150.0, 150.0):
+        assert np.isfinite(_cumulative_weights(d.delta, alpha)).all()
+    assert (_pick(d.delta, -150.0, draws) == np.argmin(d.delta)).all()
+    top = d.delta[_pick(d.delta, 150.0, draws)]
+    assert top.mean() == pytest.approx(float(d.delta.max()), rel=0.01)
+    assert (top >= 0.9 * d.delta.max()).all()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goldbachnet import build_table, is_prime
+from goldbachnet import build_table
 from goldbachnet.errors import InvalidBound, OutOfRange
 
 from oracles import trial_division_primes
@@ -31,7 +31,6 @@ def test_membership_queries():
     assert not table.is_prime(1)
     assert table.is_prime(97)
     assert not table.is_prime(0)
-    assert is_prime(table, 89)
     assert 89 in table
     assert 91 not in table  # 7 * 13
 
