@@ -25,6 +25,7 @@ absent bin there means no data rather than zero clustering.
 from dataclasses import dataclass
 
 from .ensemble import SweepSpec, growth_curves, run_sweep
+from .primes import build_table
 
 DEFAULT_MAX_EVEN_CAP = 1_000_000
 
@@ -148,7 +149,9 @@ def _distribution_table(result, name, snap, x_name, zero_fill, with_counts=False
 
 
 def _growth_table(alphas, max_even, realizations, master_seed):
-    curves = [growth_curves(a, max_even, realizations, master_seed) for a in alphas]
+    table = build_table(max(max_even, 8))
+    curves = [growth_curves(a, max_even, realizations, master_seed, table=table)
+              for a in alphas]
     header = ["M"]
     for a in alphas:
         lbl = alpha_label(a)

@@ -20,6 +20,8 @@ from .goldbach import GoldbachPair, decompose
 # uniforms are drawn in fixed-size blocks so that the value consumed for the
 # j-th even number depends only on (seed, j), never on how the loop is batched
 _UNIFORM_BLOCK = 4096
+# even numbers per array pass of build_many; must divide _UNIFORM_BLOCK
+_CHUNK = 256
 
 
 def check_run(alpha, stop=None):
@@ -214,66 +216,25 @@ class PrimeGraph:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class _Realization:
-    """Mutable bookkeeping for one seed while the shared even-loop runs."""
-
-    __slots__ = ("seed", "gen", "block", "block_no", "p", "q", "src", "seen",
-                 "count", "hist", "exhausted")
-
-    def __init__(self, seed):
-        self.seed = int(seed)
-        self.gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed))
-        )
-        self.block = None
-        self.block_no = -1
-        self.p = []
-        self.q = []
-        self.src = []
-        self.seen = set()
-        self.count = 0
-        self.hist = []
-        self.exhausted = False
-
-    def uniform(self, j):
-        b, off = divmod(j, _UNIFORM_BLOCK)
-        if self.block_no != b:
-            # j advances one even at a time, so blocks are generated in order
-            self.block = self.gen.random(_UNIFORM_BLOCK)
-            self.block_no = b
-        return self.block[off]
-
-    def add_edge(self, p, q, n):
-        self.p.append(p)
-        self.q.append(q)
-        self.src.append(n)
-        if p not in self.seen:
-            self.seen.add(p)
-            self.count += 1
-        if q not in self.seen:
-            self.seen.add(q)
-            self.count += 1
-        self.hist.append(self.count)
-
-    def freeze(self, alpha):
-        return PrimeGraph(
-            np.array(self.p, dtype=np.int64),
-            np.array(self.q, dtype=np.int64),
-            np.array(self.src, dtype=np.int64),
-            np.array(self.hist, dtype=np.int64),
-            alpha,
-            self.seed,
-            exhausted=self.exhausted,
-        )
-
-
 def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
                on_exhaust="raise"):
     """Build one realization per seed, sharing the per-even-number work.
 
     Bit-for-bit equivalent to building each seed on its own: realization i
-    consumes uniforms only from its own generator, one draw per even number
-    it processes (none when alpha is +inf or -inf).
+    draws its uniforms from its own generator in blocks of
+    ``_UNIFORM_BLOCK``, and the j-th even number (n = 8 + 2j) uses the
+    (j mod block)-th value of its block j // block, whatever the batching;
+    +inf and -inf consume no uniforms.
+
+    Even numbers are processed in chunks of at most ``_CHUNK`` that never
+    cross a block boundary. Each even number is decomposed once and one
+    ``_pick`` call selects the pairs of every still-active realization.
+    Node counts are then taken per chunk with array operations: an endpoint
+    is new when it is the first occurrence of its prime within the chunk
+    and the realization has not seen that prime before. A realization that
+    reaches ``target_nodes`` is cut at the first crossing and leaves the
+    active set at the end of the chunk, so fewer than ``_CHUNK`` even
+    numbers are decomposed past the last stop.
 
     Parameters
     ----------
@@ -301,40 +262,69 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
             f"table stops at {table.limit}"
         )
 
-    finite = math.isfinite(alpha)
-    states = [_Realization(s) for s in seeds]
-    active = list(states)
+    seeds = [int(s) for s in seeds]
+    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+            for s in seeds]
+    target = target_nodes if target_nodes is not None else math.inf
+    last_even = table.limit if max_even is None else max_even
+    n_evens = max((last_even - 8) // 2 + 1, 0)
+    uniforms = np.zeros((len(seeds), _UNIFORM_BLOCK))
+    # flat (realization, prime index) flags, so keys of distinct rows differ
+    seen = np.zeros(len(seeds) * table.n_primes, dtype=bool)
+    count = np.zeros(len(seeds), dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    parts = [[(empty, empty, empty)] for _ in seeds]  # (p, q, history) chunks
+    active = np.arange(len(seeds))
 
-    n = 8
-    j = 0
-    while active:
-        if max_even is not None and n > max_even:
+    for j in range(0, n_evens, _CHUNK):
+        if not active.size:
             break
-        if n > table.limit:
-            if on_exhaust == "raise":
-                st = active[0]
-                raise SieveExhausted(
-                    f"even numbers exhausted at {n - 2} (bound {table.limit}): "
-                    f"reached N={st.count} of {target_nodes} nodes with "
-                    f"M={len(st.p)} links at alpha={alpha!r}"
-                )
-            for st in active:
-                st.exhausted = True
-            break
-        decomp = decompose(table, n)
-        # +inf and -inf ignore the draw and consume no uniform
-        draws = np.array([st.uniform(j) if finite else 0.0 for st in active])
-        done = []
-        for st, i in zip(active, _pick(decomp.delta, alpha, draws)):
-            st.add_edge(int(decomp.p[i]), int(decomp.q[i]), n)
-            if target_nodes is not None and st.count >= target_nodes:
-                done.append(st)
-        for st in done:
-            active.remove(st)
-        n += 2
-        j += 1
+        # a chunk never crosses a uniform block, as _CHUNK divides the block
+        evens = np.arange(8 + 2 * j, 8 + 2 * min(j + _CHUNK, n_evens), 2)
+        off = j % _UNIFORM_BLOCK
+        if off == 0 and math.isfinite(alpha):
+            for r in active:
+                uniforms[r] = gens[r].random(_UNIFORM_BLOCK)
+        draws = uniforms[active, off:off + evens.size]
+        p = np.empty((active.size, evens.size), dtype=np.int64)
+        for c, n in enumerate(evens):
+            decomp = decompose(table, n)
+            p[:, c] = decomp.p[_pick(decomp.delta, alpha, draws[:, c])]
+        q = evens - p
 
-    return [st.freeze(alpha) for st in states]
+        # an endpoint is new if it is the first occurrence of its key in the
+        # chunk (p before q, edge by edge) and the realization has not seen it
+        idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
+        keys = (idx + active[:, None, None] * table.n_primes).ravel()
+        first = np.unique(keys, return_index=True)[1]
+        new = np.zeros(keys.size, dtype=bool)
+        new[first] = ~seen[keys[first]]
+        seen[keys[first]] = True
+        hist = count[active, None] + np.cumsum(
+            new.reshape(idx.shape).sum(axis=2), axis=1)
+
+        reached = hist[:, -1] >= target
+        keep = np.where(reached, np.argmax(hist >= target, axis=1) + 1, evens.size)
+        for a, r in enumerate(active):
+            parts[r].append((p[a, :keep[a]], q[a, :keep[a]], hist[a, :keep[a]]))
+            count[r] = hist[a, keep[a] - 1]
+        active = active[~reached]
+
+    exhausted = bool(active.size) and max_even is None
+    if exhausted and on_exhaust == "raise":
+        r = active[0]
+        raise SieveExhausted(
+            f"even numbers exhausted at {6 + 2 * n_evens} (bound {table.limit}): "
+            f"reached N={count[r]} of {target_nodes} nodes with "
+            f"M={sum(part[0].size for part in parts[r])} links at alpha={alpha!r}"
+        )
+    graphs = []
+    for r, seed in enumerate(seeds):
+        edge_p, edge_q, hist = map(np.concatenate, zip(*parts[r]))
+        edge_even = 8 + 2 * np.arange(edge_p.size, dtype=np.int64)
+        graphs.append(PrimeGraph(edge_p, edge_q, edge_even, hist, alpha, seed,
+                                 exhausted=exhausted and r in active))
+    return graphs
 
 
 def build(cfg, table):

@@ -8,17 +8,18 @@ from .errors import InvalidBound, OutOfRange
 class PrimeTable:
     """Primes up to ``limit``, with O(1) membership tests.
 
-    Membership is stored bit-packed (one bit per integer), so a table
-    covering 10**6 costs ~125 kB plus the ordered prime array. Instances
-    are immutable after construction and safe to share across workers.
+    Membership is stored as one bool flag per integer, so a query is a
+    single gather; a table covering 10**6 costs ~1 MB plus the ordered
+    prime array. Instances are immutable after construction and safe to
+    share across workers.
     """
 
-    __slots__ = ("limit", "ordered_primes", "_bits")
+    __slots__ = ("limit", "ordered_primes", "_flags")
 
-    def __init__(self, limit, ordered_primes, bits):
+    def __init__(self, limit, ordered_primes, flags):
         self.limit = int(limit)
         self.ordered_primes = ordered_primes
-        self._bits = bits
+        self._flags = flags
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit}, n_primes={self.n_primes})"
@@ -32,7 +33,7 @@ class PrimeTable:
         n = int(n)
         if n < 0 or n > self.limit:
             raise OutOfRange(f"{n} is outside the sieve range [0, {self.limit}]")
-        return bool((self._bits[n >> 3] >> (7 - (n & 7))) & 1)
+        return bool(self._flags[n])
 
     def __contains__(self, n):
         return self.is_prime(n)
@@ -46,7 +47,7 @@ class PrimeTable:
 
     def _membership(self, v):
         # bounds already guaranteed by the caller
-        return (self._bits[v >> 3] >> (7 - (v & 7))) & 1 != 0
+        return self._flags[v]
 
 
 def build_table(limit):
@@ -70,5 +71,5 @@ def build_table(limit):
         if flags[p]:
             flags[p * p :: p] = False
     ordered = np.flatnonzero(flags).astype(np.int64)
-    return PrimeTable(limit, ordered, np.packbits(flags))
+    return PrimeTable(limit, ordered, flags)
 

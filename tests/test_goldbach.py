@@ -67,7 +67,7 @@ def test_validation_errors(table_2k):
 def test_undecomposable_aborts_loudly():
     # doctored table with no primes marked: the guard must fire, not skip
     real = build_table(100)
-    hollow = PrimeTable(100, real.ordered_primes, np.zeros_like(real._bits))
+    hollow = PrimeTable(100, real.ordered_primes, np.zeros(101, dtype=bool))
     with pytest.raises(UndecomposableEven):
         decompose(hollow, 20)
 

@@ -99,6 +99,79 @@ def test_build_replays_select_pair_stream(table_30k):
         assert (pair.p, pair.q) == (int(g.edge_p[j]), int(g.edge_q[j]))
 
 
+def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
+    """Per-even, per-seed construction written independently of build_many.
+
+    The pinned rule: the j-th even number n = 8 + 2j uses value j % 4096 of
+    the seed's (j // 4096)-th block of 4096 uniforms; +-inf draws none.
+    Returns (edges, history, reached) per seed.
+    """
+    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+            for s in seeds]
+    blocks = [None] * len(seeds)
+    out = [([], [], False) for _ in seeds]
+    seen = [set() for _ in seeds]
+    for j, n in enumerate(range(8, last_even + 1, 2)):
+        decomp = decompose(table, n)
+        for r, (edges, hist, reached) in enumerate(out):
+            if reached:
+                continue
+            u = 0.0
+            if math.isfinite(alpha):
+                if j % 4096 == 0:
+                    blocks[r] = gens[r].random(4096)
+                u = float(blocks[r][j % 4096])
+            pair = select_pair(decomp, alpha, u)
+            edges.append((pair.p, pair.q, n))
+            seen[r].update((pair.p, pair.q))
+            hist.append(len(seen[r]))
+            if target_nodes is not None and len(seen[r]) >= target_nodes:
+                out[r] = (edges, hist, True)
+    return out
+
+
+def _assert_replays(graphs, reference):
+    for g, (edges, hist, _) in zip(graphs, reference):
+        assert g.edge_p.tolist() == [e[0] for e in edges]
+        assert g.edge_q.tolist() == [e[1] for e in edges]
+        assert g.edge_even.tolist() == [e[2] for e in edges]
+        assert g.node_count_history.tolist() == hist
+
+
+@pytest.mark.parametrize("alpha", [-2.5, 0.7, -INF, INF])
+def test_build_many_replays_reference_across_blocks(table_30k, alpha):
+    # 4197 evens: past the first 4096-uniform block and over many chunks
+    seeds = [3, 14, 15]
+    graphs = build_many(table_30k, alpha, seeds, max_even=8400)
+    _assert_replays(graphs, _reference_builds(table_30k, alpha, seeds, 8400))
+    assert all(g.num_edges == 4197 and not g.exhausted for g in graphs)
+
+
+def test_build_many_replays_reference_target_stops(table_30k):
+    # the three seeds first reach 74 nodes at different evens: one inside
+    # the first 256-even chunk, one on its last even (n = 518), one after
+    seeds, alpha, target = [9, 1, 3], -1.0, 74
+    graphs = build_many(table_30k, alpha, seeds, target_nodes=target)
+    reference = _reference_builds(table_30k, alpha, seeds, 2000, target)
+    _assert_replays(graphs, reference)
+    stops = [len(edges) - 1 for edges, _, _ in reference]
+    assert all(reached for _, _, reached in reference)
+    assert 255 in stops and min(stops) < 255 and max(stops) > 255
+    assert len(set(stops)) == 3
+
+
+def test_build_many_partial_flags_only_exhausted(table_2k):
+    # seed 7 reaches 275 nodes below the sieve bound, seed 9 never does
+    seeds, target = [7, 9], 275
+    graphs = build_many(table_2k, 0.0, seeds, target_nodes=target,
+                        on_exhaust="partial")
+    reference = _reference_builds(table_2k, 0.0, seeds, 2000, target)
+    _assert_replays(graphs, reference)
+    assert [reached for _, _, reached in reference] == [True, False]
+    assert [g.exhausted for g in graphs] == [False, True]
+    assert graphs[1].edge_even[-1] == 2000
+
+
 def test_growth_log_and_edge_accounting(table_30k):
     g = build(BuildConfig(alpha=0.0, seed=5, max_even=5000), table_30k)
     evens = np.arange(8, 5001, 2)
