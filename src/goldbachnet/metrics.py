@@ -11,12 +11,14 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateGraph, UndefinedAssortativity
 
 CLUSTERING_CONVENTIONS = ("standard", "paper")
+# rows per sparse product in _clustering; bounds its transient memory
+_TRIANGLE_ROWS = 256
 
 
 @dataclass
@@ -72,15 +74,18 @@ class MetricsReport:
 
 
 class _Compact:
-    """Zero-based CSR form of an undirected graph, neighbors sorted."""
+    """Zero-based form of an undirected graph for the metrics.
 
-    __slots__ = ("n", "degrees", "indptr", "indices", "eu", "ev")
+    ``adj`` is the symmetric 0/1 adjacency matrix as one CSR array with
+    sorted neighbors and ``int32`` data; ``eu``/``ev`` hold each edge once.
+    """
 
-    def __init__(self, n, degrees, indptr, indices, eu, ev):
+    __slots__ = ("n", "degrees", "adj", "eu", "ev")
+
+    def __init__(self, n, degrees, adj, eu, ev):
         self.n = n
         self.degrees = degrees
-        self.indptr = indptr
-        self.indices = indices
+        self.adj = adj
         self.eu = eu
         self.ev = ev
 
@@ -97,12 +102,10 @@ def _compact(graph):
     order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    return _Compact(n, deg.astype(np.int64), indptr, dst[order], eu, ev)
-
-
-def _csr(comp):
-    data = np.ones(comp.indices.size, dtype=np.int8)
-    return csr_matrix((data, comp.indices, comp.indptr), shape=(comp.n, comp.n))
+    # int32, not int8: one common-neighbor count can exceed 127
+    data = np.ones(dst.size, dtype=np.int32)
+    adj = csr_array((data, dst[order], indptr), shape=(n, n))
+    return _Compact(n, deg.astype(np.int64), adj, eu, ev)
 
 
 def _bfs_distance_histogram(comp):
@@ -113,7 +116,7 @@ def _bfs_distance_histogram(comp):
     step unions the frontier bits of every node's neighbors via a single
     ``bitwise_or.reduceat`` over the CSR layout.
     """
-    indptr, indices = comp.indptr, comp.indices
+    indptr, indices = comp.adj.indptr, comp.adj.indices
     starts = indptr[:-1]
     isolated = comp.degrees == 0
     any_isolated = bool(isolated.any())
@@ -151,7 +154,7 @@ def _bfs_distance_histogram(comp):
 def _distance_stats(comp):
     if comp.n < 2:
         raise DegenerateGraph(f"need at least 2 nodes, have {comp.n}")
-    _, labels = connected_components(_csr(comp), directed=False)
+    _, labels = connected_components(comp.adj, directed=False)
     sizes = np.bincount(labels).astype(np.int64)
     giant = int(sizes.max())
     reachable_pairs = int(np.sum(sizes * (sizes - 1) // 2))
@@ -172,17 +175,13 @@ def _clustering(comp, convention):
     if convention not in CLUSTERING_CONVENTIONS:
         raise ValueError(f"unknown clustering convention {convention!r}")
     deg = comp.degrees
+    # links among the neighbors of i = triangles at i = (A^3)_ii / 2, summed
+    # from (A @ A) * A one block of rows at a time to bound the product
     links_among_neighbors = np.zeros(comp.n, dtype=np.int64)
-    indptr, indices = comp.indptr, comp.indices
-    for u, v in zip(comp.eu.tolist(), comp.ev.tolist()):
-        common = np.intersect1d(
-            indices[indptr[u] : indptr[u + 1]],
-            indices[indptr[v] : indptr[v + 1]],
-            assume_unique=True,
-        )
-        if common.size:
-            # this edge lies inside the neighborhood of every common neighbor
-            links_among_neighbors[common] += 1
+    for lo in range(0, comp.n, _TRIANGLE_ROWS):
+        block = slice(lo, lo + _TRIANGLE_ROWS)
+        rows = comp.adj[block]
+        links_among_neighbors[block] = (rows @ comp.adj).multiply(rows).sum(axis=1) // 2
     if convention == "standard":
         possible = deg * (deg - 1) // 2
     else:

@@ -360,17 +360,56 @@ def _artifact_digests(out_dir):
     return {a["path"]: a["sha256"] for a in manifest["artifacts"]}
 
 
+REPRO_COMMANDS = {
+    "build": ["build", "--alpha", "1.5", "--target-nodes", "150",
+              "--seed", "42"],
+    "sweep": ["sweep", "--alphas", "0,-1.8", "--snapshots", "60,90",
+              "--realizations", "3", "--seed", "42",
+              "--max-even-cap", "20000", "--format", "csv"],
+    "figure6": ["figure", "6", "--alphas", "2,-2", "--max-even", "600",
+                "--realizations", "3", "--seed", "42"],
+}
+PINNED_COMMANDS = {
+    **REPRO_COMMANDS,
+    "figure9": ["figure", "9", "--alphas", "-1,2", "--snapshots", "400",
+                "--realizations", "2", "--seed", "42",
+                "--max-even-cap", "20000"],
+}
+# SHA-256 of every artifact of PINNED_COMMANDS, recorded with Python 3.11.7,
+# numpy 2.4.6 and scipy 1.17.1. A code change that moves one of them changes
+# an output; other library versions may format floats differently.
+GOLDEN_DIGESTS = {
+    "build": {
+        "distributions/C_by_degree.csv":
+            "7e773f64976bcaf18ff4ace69d5fddc639d23bfdc2a75864916a30028f884757",
+        "distributions/P_of_k.csv":
+            "694f62219945fa22b3179e19aeb7155f8ed243d56786cd504a24ae052cb960ca",
+        "distributions/p_of_j.csv":
+            "8fd6818f0dcb8c914707416d3fb8b7e9466c4ddec976d097bca44c57d9c37311",
+        "edges/graph.txt":
+            "3747d51cf8b9aec52affa724513ad5b25f39ad3cb8ed337a215f36a970a90461",
+        "report.json":
+            "c3eb3bd9606d7bd642d058f27f3d171409366c488ce3b70dce288242e3746e89",
+    },
+    "sweep": {
+        "cells.csv":
+            "373a1b27b63c24062603510002bbd75cb305e5821c34e43ed9790719979f30f4",
+        "sweep.json":
+            "58862872295f9b425a35e8ee5440638221b1c2014a985ea596a1d516ccbd4ec9",
+    },
+    "figure6": {
+        "fig6/N_vs_M.csv":
+            "5329975123b8d0acf25a504ad54c32606ff0c6bdf43b0c366155558bc7506feb",
+    },
+    "figure9": {
+        "fig9/C_of_k.csv":
+            "4bb11e2bf2b0c42afc09ad5be2d9b7f6b2fbca2fda2ed41b3302b63f72f3249e",
+    },
+}
+
+
 def test_criterion_11_reproducibility(tmp_path):
-    commands = {
-        "build": ["build", "--alpha", "1.5", "--target-nodes", "150",
-                  "--seed", "42"],
-        "sweep": ["sweep", "--alphas", "0,-1.8", "--snapshots", "60,90",
-                  "--realizations", "3", "--seed", "42",
-                  "--max-even-cap", "20000", "--format", "csv"],
-        "figure": ["figure", "6", "--alphas", "2,-2", "--max-even", "600",
-                   "--realizations", "3", "--seed", "42"],
-    }
-    for name, argv in commands.items():
+    for name, argv in REPRO_COMMANDS.items():
         digests = []
         contents = []
         for run in ("a", "b"):
@@ -386,3 +425,9 @@ def test_criterion_11_reproducibility(tmp_path):
             )
         assert digests[0] == digests[1], f"{name}: digests differ between reruns"
         assert contents[0] == contents[1], f"{name}: artifact bytes differ"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_artifacts_match_pinned_digests(tmp_path, name):
+    assert cli_main(PINNED_COMMANDS[name] + ["--out", str(tmp_path)]) == 0
+    assert _artifact_digests(tmp_path) == GOLDEN_DIGESTS[name]

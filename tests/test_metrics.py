@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from goldbachnet import (
     shortest_distance_stats,
 )
 from goldbachnet.errors import DegenerateGraph, UndefinedAssortativity
+from goldbachnet.metrics import CLUSTERING_CONVENTIONS
 
 from oracles import (
     TinyGraph,
@@ -73,6 +76,24 @@ def test_star_clustering_zero():
     for conv in ("standard", "paper"):
         c, _ = clustering(STAR3, conv)
         assert c == 0.0
+
+
+def _mean_by_degree(deg, c_i):
+    return {int(k): float(c_i[deg == k].mean()) for k in np.unique(deg)}
+
+
+def test_clustering_counts_beyond_int8():
+    # adjacent hubs 0 and 1 share 300 leaves, so the edge (0, 1) has 300
+    # common neighbors: more than an 8-bit count can hold
+    n = 302
+    edges = [(0, 1)] + [(hub, leaf) for leaf in range(2, n) for hub in (0, 1)]
+    deg = np.bincount(np.ravel(edges), minlength=n)
+    g = TinyGraph(n, edges)
+    for conv in CLUSTERING_CONVENTIONS:
+        c_i = per_node_clustering(n, edges, conv)
+        c, by_k = clustering(g, conv)
+        assert c == pytest.approx(c_i.mean(), abs=1e-12)
+        assert by_k == pytest.approx(_mean_by_degree(deg, c_i), abs=1e-12)
 
 
 def test_paper_convention_rescales_standard():
@@ -226,11 +247,37 @@ def test_distance_matches_networkx_at_realistic_size(table_1m):
     nx = pytest.importorskip("networkx")
     g = build(BuildConfig(alpha=-2.5, seed=20260808, target_nodes=2000),
               table_1m)
-    ref = _networkx_graph(nx, g)
-    assert nx.is_connected(ref)
+    # ordered pairs per hop count, one BFS per source
+    hops = Counter()
+    for _, lengths in nx.all_pairs_shortest_path_length(_networkx_graph(nx, g)):
+        hops.update(lengths.values())
+    del hops[0]
+    pairs = sum(hops.values())
+    assert pairs == 2000 * 1999  # connected
     d, p_of_j, rf, giant = shortest_distance_stats(g)
-    assert d == pytest.approx(nx.average_shortest_path_length(ref), rel=1e-12)
+    assert d == pytest.approx(sum(j * c for j, c in hops.items()) / pairs,
+                              rel=1e-12)
+    assert p_of_j == pytest.approx({j: c / pairs for j, c in hops.items()},
+                                   rel=1e-12)
     assert (rf, giant) == (1.0, 2000)
+
+
+@pytest.mark.parametrize("alpha, n", [(-2.5, 4000), (2.0, 5000)])
+def test_clustering_matches_networkx_at_realistic_size(table_1m, alpha, n):
+    nx = pytest.importorskip("networkx")
+    g = build(BuildConfig(alpha=alpha, seed=20260808, target_nodes=n),
+              table_1m)
+    ref = _networkx_graph(nx, g)
+    c_ref = nx.clustering(ref)
+    nodes = g.node_labels.tolist()
+    deg = np.array([ref.degree(u) for u in nodes])
+    c_std = np.array([c_ref[u] for u in nodes])
+    # paper convention: k(k+1)/2 neighbor pairs instead of k(k-1)/2
+    expected = {"standard": c_std, "paper": c_std * (deg - 1) / (deg + 1)}
+    for conv, c_i in expected.items():
+        c, by_k = clustering(g, conv)
+        assert c == pytest.approx(c_i.mean(), rel=1e-12)
+        assert by_k == pytest.approx(_mean_by_degree(deg, c_i), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [2.0, -1.0, -2.0])
