@@ -13,11 +13,13 @@ Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import GoldbachNetError
 from .ensemble import SweepSpec, run_sweep
@@ -85,6 +87,8 @@ def _write_manifest(out_dir, argv, config, master_seed, artifacts, started):
             for rel in sorted(artifacts)
         ],
         "duration_seconds": round(time.time() - started, 3),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     _write_json(out_dir / "manifest.json", doc)
 

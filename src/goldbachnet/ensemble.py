@@ -9,6 +9,7 @@ snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -193,78 +194,61 @@ class EnsembleResult:
         }
 
 
-def _run_alpha_cell(spec, alpha_index, table=None):
-    """All realizations and snapshot aggregates for one alpha value."""
-    if table is None:
-        table = build_table(spec.max_even_cap)
-    alpha = spec.alphas[alpha_index]
-    seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
-    graphs = build_many(
-        table,
-        alpha,
-        seeds,
-        target_nodes=max(spec.snapshot_nodes),
-        on_exhaust="partial",
-    )
-    warnings = []
-    per_snapshot = {si: ([], []) for si in range(len(spec.snapshot_nodes))}
-    for i, g in enumerate(graphs):
-        if g.exhausted:
-            warnings.append(
-                f"alpha={alpha!r}: realization {i} exhausted even numbers at "
-                f"cap {spec.max_even_cap} with N={g.num_nodes}, M={g.num_edges}"
-            )
-        for si, n_star in enumerate(spec.snapshot_nodes):
-            sub = g.snapshot_at(n_star)
-            if sub is None:
-                continue
-            rep = compute_report(sub, spec.clustering)
-            brep = baseline_report(
-                NullModelConfig(
-                    sub.num_nodes,
-                    sub.num_edges,
-                    baseline_seed(spec.master_seed, alpha_index, i, si),
-                ),
-                spec.clustering,
-            )
-            per_snapshot[si][0].append(rep)
-            per_snapshot[si][1].append(brep)
-
-    cells = []
+def _measure(spec, row, graph):
+    """(report, matched baseline report) per snapshot of one row; None if unreached."""
+    alpha_index, realization = divmod(row, spec.realizations)
+    measured = []
     for si, n_star in enumerate(spec.snapshot_nodes):
-        reps, breps = per_snapshot[si]
-        if reps:
-            cell = SweepCell(alpha, n_star, len(reps), aggregate(reps), aggregate(breps))
-        else:
-            cell = SweepCell(alpha, n_star, 0, None, None)
-        cells.append(cell)
-    return cells, warnings
+        sub = graph.snapshot_at(n_star)
+        if sub is None:
+            measured.append(None)
+            continue
+        seed = baseline_seed(spec.master_seed, alpha_index, realization, si)
+        measured.append((
+            compute_report(sub, spec.clustering),
+            baseline_report(NullModelConfig(sub.num_nodes, sub.num_edges, seed),
+                            spec.clustering),
+        ))
+    return measured
 
 
 def run_sweep(spec, workers=1):
     """Execute every (alpha, realization) build and aggregate per snapshot.
 
-    The result is a deterministic function of ``spec`` alone: cells are
-    folded in (alpha, snapshot) order whatever the execution order, and
-    ``workers`` > 1 only spreads alpha cells over processes.
+    One construction pass builds every row of the sweep in this process;
+    the metrics of each (alpha, realization) are then one task, and
+    ``workers`` > 1 spreads those tasks over processes. The result is a
+    deterministic function of ``spec`` alone: cells are folded in
+    (alpha, snapshot) order, realizations in order within each cell.
     """
-    if workers > 1 and len(spec.alphas) > 1:
+    seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
+    graphs = build_many(build_table(spec.max_even_cap), spec.alphas, seeds,
+                        target_nodes=spec.snapshot_nodes[-1], on_exhaust="partial")
+    tasks = (repeat(spec), range(len(graphs)), graphs)
+    if workers > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_alpha_cell, spec, ai)
-                for ai in range(len(spec.alphas))
-            ]
-            outcomes = [f.result() for f in futures]
+            measured = list(pool.map(_measure, *tasks))
     else:
-        table = build_table(spec.max_even_cap)
-        outcomes = [
-            _run_alpha_cell(spec, ai, table) for ai in range(len(spec.alphas))
-        ]
+        measured = list(map(_measure, *tasks))
+
     cells = []
     warnings = []
-    for cell_list, warn_list in outcomes:
-        cells.extend(cell_list)
-        warnings.extend(warn_list)
+    for ai, alpha in enumerate(spec.alphas):
+        rows = range(ai * len(seeds), (ai + 1) * len(seeds))
+        warnings.extend(
+            f"alpha={alpha!r}: realization {r - rows[0]} exhausted even numbers at "
+            f"cap {spec.max_even_cap} with N={graphs[r].num_nodes}, "
+            f"M={graphs[r].num_edges}"
+            for r in rows if graphs[r].exhausted
+        )
+        for si, n_star in enumerate(spec.snapshot_nodes):
+            pairs = [measured[r][si] for r in rows if measured[r][si] is not None]
+            if pairs:
+                reps, breps = zip(*pairs)
+                cells.append(SweepCell(alpha, n_star, len(pairs), aggregate(reps),
+                                       aggregate(breps)))
+            else:
+                cells.append(SweepCell(alpha, n_star, 0, None, None))
     return EnsembleResult(spec=spec, seed_rule=SEED_RULE, cells=cells,
                           warnings=warnings)
 

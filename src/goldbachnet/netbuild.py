@@ -49,26 +49,27 @@ def check_run(alpha, stop=None):
 def _cumulative_weights(delta, alpha):
     # max-rescaled exponentials; naive delta**alpha overflows for |alpha| ~ 5
     # once spreads reach ~10**6
-    logw = alpha * np.log(delta.astype(np.float64))
-    w = np.exp(logw - logw.max())
-    return np.cumsum(w)
+    logw = np.log(delta, dtype=np.float64)
+    logw *= alpha
+    logw -= logw.max()
+    return np.exp(logw, out=logw).cumsum()
 
 
 def _pick(delta, alpha, draws):
     """Index of the pair each uniform of ``draws`` selects, as an array.
 
     For finite alpha, pair i is chosen iff the draw lands in the i-th
-    cumulative slot of the normalized delta**alpha weights. For
-    alpha = +inf (-inf) every draw picks the largest (smallest) spread;
-    ties are impossible because spreads within one even number are distinct.
+    cumulative slot of the normalized delta**alpha weights; a draw that
+    rounds onto the total picks the last pair. For alpha = +inf (-inf)
+    every draw picks the largest (smallest) spread; ties are impossible
+    because spreads within one even number are distinct.
     """
     if alpha == math.inf:
         return np.full(len(draws), np.argmax(delta))
     if alpha == -math.inf:
         return np.full(len(draws), np.argmin(delta))
     cum = _cumulative_weights(delta, alpha)
-    return np.minimum(np.searchsorted(cum, draws * cum[-1], side="right"),
-                      delta.size - 1)
+    return cum[:-1].searchsorted(draws * cum[-1], side="right")
 
 
 def select_pair(decomp, alpha, rng_draw):
@@ -116,15 +117,15 @@ class BuildConfig:
 class PrimeGraph:
     """Simple undirected graph over primes, with its insertion history.
 
-    Edges are kept in insertion order as parallel arrays (edge_p, edge_q,
-    edge_even); ``node_count_history[i]`` is the node count after edge i.
-    Instances are treated as immutable once built.
+    Edges are kept in insertion order as parallel ``int32`` arrays
+    (edge_p, edge_q); edge i comes from the even number 8 + 2i, and
+    ``node_count_history[i]`` is the node count after it. Instances are
+    treated as immutable once built.
     """
 
     __slots__ = (
         "edge_p",
         "edge_q",
-        "edge_even",
         "node_count_history",
         "alpha",
         "seed",
@@ -132,11 +133,10 @@ class PrimeGraph:
         "_labels",
     )
 
-    def __init__(self, edge_p, edge_q, edge_even, node_count_history, alpha, seed,
+    def __init__(self, edge_p, edge_q, node_count_history, alpha, seed,
                  exhausted=False):
         self.edge_p = edge_p
         self.edge_q = edge_q
-        self.edge_even = edge_even
         self.node_count_history = node_count_history
         self.alpha = float(alpha)
         self.seed = int(seed)
@@ -156,6 +156,11 @@ class PrimeGraph:
     @property
     def num_nodes(self):
         return int(self.node_count_history[-1]) if self.num_edges else 0
+
+    @property
+    def edge_even(self):
+        """Source even number of each edge: every one from 8 on, in order."""
+        return 8 + 2 * np.arange(self.num_edges, dtype=np.int64)
 
     @property
     def node_labels(self):
@@ -194,7 +199,6 @@ class PrimeGraph:
         return PrimeGraph(
             self.edge_p[:m],
             self.edge_q[:m],
-            self.edge_even[:m],
             self.node_count_history[:m],
             self.alpha,
             self.seed,
@@ -216,31 +220,31 @@ class PrimeGraph:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
+def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
                on_exhaust="raise"):
-    """Build one realization per seed, sharing the per-even-number work.
+    """Build one realization per (alpha, seed), sharing the per-even work.
 
-    Bit-for-bit equivalent to building each seed on its own: realization i
-    draws its uniforms from its own generator in blocks of
-    ``_UNIFORM_BLOCK``, and the j-th even number (n = 8 + 2j) uses the
-    (j mod block)-th value of its block j // block, whatever the batching;
-    +inf and -inf consume no uniforms.
+    Bit-for-bit equivalent to building each row on its own: seed i draws
+    its uniforms from its own generator in blocks of ``_UNIFORM_BLOCK``,
+    and the j-th even number (n = 8 + 2j) uses the (j mod block)-th value
+    of its block j // block, whatever the batching; every finite alpha
+    reads the same uniforms of seed i, and +inf and -inf consume none.
 
     Even numbers are processed in chunks of at most ``_CHUNK`` that never
     cross a block boundary. Each even number is decomposed once and one
-    ``_pick`` call selects the pairs of every still-active realization.
-    Node counts are then taken per chunk with array operations: an endpoint
-    is new when it is the first occurrence of its prime within the chunk
-    and the realization has not seen that prime before. A realization that
-    reaches ``target_nodes`` is cut at the first crossing and leaves the
-    active set at the end of the chunk, so fewer than ``_CHUNK`` even
-    numbers are decomposed past the last stop.
+    ``_pick`` call per alpha selects the pairs of every still-active row
+    of that alpha. Node counts are then taken per chunk with array
+    operations: an endpoint is new when it is the first occurrence of its
+    prime within the chunk and the row has not seen that prime before. A
+    row that reaches ``target_nodes`` is cut at the first crossing and
+    leaves the active set at the end of the chunk, so fewer than
+    ``_CHUNK`` even numbers are decomposed past the last stop.
 
     Parameters
     ----------
     table : PrimeTable
         Its sieve bound is the largest even number consumed.
-    alpha : float
+    alphas : float or sequence of float
     seeds : sequence of int
     max_even, target_nodes : int, optional
         Stop rule; exactly one must be given.
@@ -252,8 +256,10 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
     Returns
     -------
     list of PrimeGraph
+        Alpha-major: the graph of ``(alphas[a], seeds[i])`` is at
+        ``a * len(seeds) + i``, so a single float gives one per seed.
     """
-    alpha = check_run(alpha, (max_even, target_nodes))
+    alphas = [check_run(a, (max_even, target_nodes)) for a in np.ravel(alphas)]
     if on_exhaust not in ("raise", "partial"):
         raise ValueError(f"unknown on_exhaust mode {on_exhaust!r}")
     if max_even is not None and max_even > table.limit:
@@ -265,16 +271,18 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
     seeds = [int(s) for s in seeds]
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
             for s in seeds]
+    finite = np.isfinite(alphas)
+    n_seeds, n_rows = len(seeds), len(alphas) * len(seeds)
     target = target_nodes if target_nodes is not None else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
-    uniforms = np.zeros((len(seeds), _UNIFORM_BLOCK))
-    # flat (realization, prime index) flags, so keys of distinct rows differ
-    seen = np.zeros(len(seeds) * table.n_primes, dtype=bool)
-    count = np.zeros(len(seeds), dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    parts = [[(empty, empty, empty)] for _ in seeds]  # (p, q, history) chunks
-    active = np.arange(len(seeds))
+    uniforms = np.zeros((n_seeds, _UNIFORM_BLOCK))
+    # flat (row, prime index) flags, so keys of distinct rows differ
+    seen = np.zeros(n_rows * table.n_primes, dtype=bool)
+    count = np.zeros(n_rows, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int32)
+    parts = {r: [(empty, empty, empty)] for r in range(n_rows)}  # (p, q, history)
+    active = np.arange(n_rows)
 
     for j in range(0, n_evens, _CHUNK):
         if not active.size:
@@ -282,18 +290,23 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
         # a chunk never crosses a uniform block, as _CHUNK divides the block
         evens = np.arange(8 + 2 * j, 8 + 2 * min(j + _CHUNK, n_evens), 2)
         off = j % _UNIFORM_BLOCK
-        if off == 0 and math.isfinite(alpha):
-            for r in active:
-                uniforms[r] = gens[r].random(_UNIFORM_BLOCK)
-        draws = uniforms[active, off:off + evens.size]
+        row_alpha, row_seed = np.divmod(active, n_seeds)
+        if off == 0:
+            for i in np.unique(row_seed[finite[row_alpha]]):
+                uniforms[i] = gens[i].random(_UNIFORM_BLOCK)
+        draws = uniforms[row_seed, off:off + evens.size]
+        # active rows are alpha-major, so each alpha's rows are one slice
+        bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
+        groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
         p = np.empty((active.size, evens.size), dtype=np.int64)
         for c, n in enumerate(evens):
             decomp = decompose(table, n)
-            p[:, c] = decomp.p[_pick(decomp.delta, alpha, draws[:, c])]
+            for alpha, lo, hi in groups:
+                p[lo:hi, c] = decomp.p[_pick(decomp.delta, alpha, draws[lo:hi, c])]
         q = evens - p
 
         # an endpoint is new if it is the first occurrence of its key in the
-        # chunk (p before q, edge by edge) and the realization has not seen it
+        # chunk (p before q, edge by edge) and the row has not seen it
         idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
         keys = (idx + active[:, None, None] * table.n_primes).ravel()
         first = np.unique(keys, return_index=True)[1]
@@ -305,9 +318,10 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
 
         reached = hist[:, -1] >= target
         keep = np.where(reached, np.argmax(hist >= target, axis=1) + 1, evens.size)
-        for a, r in enumerate(active):
-            parts[r].append((p[a, :keep[a]], q[a, :keep[a]], hist[a, :keep[a]]))
-            count[r] = hist[a, keep[a] - 1]
+        # int32 copies, so that a row's parts are freed once it is concatenated
+        for a, (r, k) in enumerate(zip(active, keep)):
+            parts[r].append(tuple(x[a, :k].astype(np.int32) for x in (p, q, hist)))
+            count[r] = hist[a, k - 1]
         active = active[~reached]
 
     exhausted = bool(active.size) and max_even is None
@@ -316,15 +330,13 @@ def build_many(table, alpha, seeds, *, max_even=None, target_nodes=None,
         raise SieveExhausted(
             f"even numbers exhausted at {6 + 2 * n_evens} (bound {table.limit}): "
             f"reached N={count[r]} of {target_nodes} nodes with "
-            f"M={sum(part[0].size for part in parts[r])} links at alpha={alpha!r}"
+            f"M={sum(part[0].size for part in parts[r])} links "
+            f"at alpha={alphas[r // n_seeds]!r}"
         )
-    graphs = []
-    for r, seed in enumerate(seeds):
-        edge_p, edge_q, hist = map(np.concatenate, zip(*parts[r]))
-        edge_even = 8 + 2 * np.arange(edge_p.size, dtype=np.int64)
-        graphs.append(PrimeGraph(edge_p, edge_q, edge_even, hist, alpha, seed,
-                                 exhausted=exhausted and r in active))
-    return graphs
+    return [PrimeGraph(*map(np.concatenate, zip(*parts.pop(r))),
+                       alphas[r // n_seeds], seeds[r % n_seeds],
+                       exhausted=exhausted and r in active)
+            for r in range(n_rows)]
 
 
 def build(cfg, table):

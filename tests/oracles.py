@@ -106,7 +106,7 @@ def per_node_clustering(n, edges, convention="standard"):
 
 
 def newman_r(n, edges):
-    """Assortativity直 from the edge-once formula; None when 0/0."""
+    """Assortativity from the edge-once formula; None when 0/0."""
     deg = np.zeros(n, dtype=int)
     for u, v in edges:
         deg[u] += 1

@@ -150,7 +150,7 @@ def test_criterion_01_exactness(table_30k):
     assert (g.edge_p < g.edge_q).all()
     assert table_30k.is_prime_array(g.edge_p).all()
     assert table_30k.is_prime_array(g.edge_q).all()
-    keys = g.edge_p * 10**9 + g.edge_q
+    keys = g.edge_p.astype(np.int64) * 10**9 + g.edge_q
     assert np.unique(keys).size == g.num_edges  # simple graph
 
 

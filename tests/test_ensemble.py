@@ -107,11 +107,20 @@ def test_run_sweep_deterministic():
 def test_run_sweep_parallel_matches_sequential():
     import json
 
-    spec = SweepSpec(alphas=(0.0, -1.0), snapshot_nodes=(50,),
-                     realizations=2, master_seed=13, max_even_cap=20_000)
-    seq = run_sweep(spec, workers=1).to_json_dict()
-    par = run_sweep(spec, workers=2).to_json_dict()
-    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
+    # under the 2000 cap no -inf realization reaches 275 nodes, and at
+    # alpha = 0 realization 2 stops at 273
+    spec = SweepSpec(alphas=(0.0, -math.inf, 1.0), snapshot_nodes=(50, 275),
+                     realizations=3, master_seed=13, max_even_cap=2_000)
+    results = [run_sweep(spec, workers=w) for w in (1, 2, 3)]
+    docs = [json.dumps(result.to_json_dict()) for result in results]
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+    for result in results:
+        assert [(c.alpha, c.snapshot, c.n_realizations) for c in result.cells] == [
+            (0.0, 50, 3), (0.0, 275, 2), (-math.inf, 50, 3), (-math.inf, 275, 0),
+            (1.0, 50, 3), (1.0, 275, 3)]
+        assert [w.split(" exhausted")[0] for w in result.warnings] == [
+            "alpha=0.0: realization 2", "alpha=-inf: realization 0",
+            "alpha=-inf: realization 1", "alpha=-inf: realization 2"]
 
 
 def test_run_sweep_absent_cells_and_warnings():

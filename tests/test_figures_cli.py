@@ -82,6 +82,22 @@ def test_cli_build_first_even(tmp_path, capsys):
     assert listed == produced
 
 
+def test_cli_manifest_records_versions(tmp_path):
+    import platform
+
+    import numpy
+    import scipy
+
+    out = tmp_path / "run"
+    assert main(["build", "--alpha", "0", "--max-even", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": numpy.__version__,
+                                    "scipy": scipy.__version__}
+    assert "versions" not in {a["path"] for a in manifest["artifacts"]}
+
+
 def test_cli_build_minus_inf_seed_independent(tmp_path):
     outs = []
     for seed in ("1", "123456"):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from goldbachnet import BuildConfig, build, build_many, decompose, select_pair
+from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, decompose,
+                         select_pair)
 from goldbachnet.errors import OutOfRange, SieveExhausted
 from goldbachnet.netbuild import _cumulative_weights, _pick
 
@@ -18,6 +19,7 @@ def test_select_pair_slots_n24(table_2k):
     assert select_pair(d, 1.0, 14 / 26 + 1e-9).p == 7
     assert select_pair(d, 1.0, 24 / 26 + 1e-9).p == 11
     assert select_pair(d, 1.0, 0.999999).p == 11
+    assert select_pair(d, 1.0, 1.0).p == 11  # a draw at the total: last pair
 
 
 def test_select_pair_uniform_at_alpha_zero(table_2k):
@@ -172,6 +174,77 @@ def test_build_many_partial_flags_only_exhausted(table_2k):
     assert graphs[1].edge_even[-1] == 2000
 
 
+# finite and infinite alphas share each seed: the infinite rows draw no
+# uniforms, the finite ones read the same block of their seed
+MIXED_ALPHAS = (-INF, -2.5, 0.7, INF)
+
+
+def _assert_same_graphs(graphs, expected):
+    assert len(graphs) == len(expected)
+    for g, h in zip(graphs, expected):
+        assert np.array_equal(g.edge_p, h.edge_p)
+        assert np.array_equal(g.edge_q, h.edge_q)
+        assert np.array_equal(g.edge_even, h.edge_even)
+        assert np.array_equal(g.node_count_history, h.node_count_history)
+        assert (g.alpha, g.seed, g.exhausted) == (h.alpha, h.seed, h.exhausted)
+
+
+def _assert_multi_alpha_replays(table, seeds, last_even, target=None, **stop):
+    """build_many over MIXED_ALPHAS equals per-alpha calls and the reference."""
+    graphs = build_many(table, MIXED_ALPHAS, seeds, **stop)
+    per_alpha = [g for a in MIXED_ALPHAS for g in build_many(table, a, seeds, **stop)]
+    _assert_same_graphs(graphs, per_alpha)
+    references = []
+    for a, alpha in enumerate(MIXED_ALPHAS):
+        reference = _reference_builds(table, alpha, seeds, last_even, target)
+        _assert_replays(graphs[a * len(seeds):(a + 1) * len(seeds)], reference)
+        references.extend(reference)
+    return graphs, references
+
+
+def test_build_many_alphas_replay_reference_across_blocks(table_30k):
+    # 4197 evens per row: past the first 4096-uniform block of each seed
+    graphs, _ = _assert_multi_alpha_replays(table_30k, [3, 14, 15], 8400,
+                                            max_even=8400)
+    assert [g.alpha for g in graphs] == [a for a in MIXED_ALPHAS for _ in range(3)]
+    assert all(g.num_edges == 4197 and not g.exhausted for g in graphs)
+
+
+def test_build_many_alphas_replay_reference_target_stops(table_30k):
+    # rows first reach 150 nodes in three different 256-even chunks
+    target = 150
+    graphs, references = _assert_multi_alpha_replays(
+        table_30k, [9, 1, 3], 2000, target, target_nodes=target)
+    assert all(reached for _, _, reached in references)
+    stops = [g.num_edges - 1 for g in graphs]
+    assert len({stop // 256 for stop in stops}) >= 3
+    assert len(set(stops)) > len(MIXED_ALPHAS)
+
+
+def test_build_many_alphas_partial_flags_only_exhausted(table_2k):
+    # below the 2000 bound, -inf and -2.5 never reach 285 nodes, +inf always
+    # does, and at 0.7 seeds 7 and 4 do while seed 9 does not
+    target = 285
+    graphs, references = _assert_multi_alpha_replays(
+        table_2k, [7, 9, 4], 2000, target, target_nodes=target,
+        on_exhaust="partial")
+    flags = [g.exhausted for g in graphs]
+    assert flags == [not reached for _, _, reached in references]
+    assert flags == [True] * 6 + [False, True, False] + [False] * 3
+    with pytest.raises(SieveExhausted, match="alpha=-inf"):
+        build_many(table_2k, MIXED_ALPHAS, [7, 9, 4], target_nodes=target)
+
+
+def test_graphs_store_int32_and_derive_source_evens(table_2k):
+    g = build_many(table_2k, (0.0, INF), [1], max_even=2000)[0]
+    for arr in (g.edge_p, g.edge_q, g.node_count_history):
+        assert arr.dtype == np.int32
+    assert "edge_even" not in PrimeGraph.__slots__
+    assert g.edge_even.tolist() == list(range(8, 2001, 2))
+    sub = g.snapshot_at(100)
+    assert sub.edge_even.tolist() == g.edge_even[:sub.num_edges].tolist()
+
+
 def test_growth_log_and_edge_accounting(table_30k):
     g = build(BuildConfig(alpha=0.0, seed=5, max_even=5000), table_30k)
     evens = np.arange(8, 5001, 2)
@@ -190,7 +263,7 @@ def test_simplicity_and_node_bound(table_30k, alpha):
     assert table_30k.is_prime_array(g.edge_p).all()
     assert table_30k.is_prime_array(g.edge_q).all()
     # no duplicate undirected edges (pair sums are distinct by construction)
-    keys = g.edge_p * 10**6 + g.edge_q
+    keys = g.edge_p.astype(np.int64) * 10**6 + g.edge_q
     assert np.unique(keys).size == g.num_edges
     # loose sparsity bound: node count never exceeds link count + 1
     m = np.arange(1, g.num_edges + 1)
