@@ -32,14 +32,13 @@ class NullModelConfig:
 class GnmGraph:
     """Uniform simple graph on nodes 0..n-1; isolated nodes are kept."""
 
-    __slots__ = ("n_nodes_", "edge_u", "edge_v", "seed", "_labels")
+    __slots__ = ("n_nodes_", "edge_u", "edge_v", "seed")
 
     def __init__(self, n_nodes, edge_u, edge_v, seed):
         self.n_nodes_ = int(n_nodes)
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.seed = int(seed)
-        self._labels = None
 
     def __repr__(self):
         return f"GnmGraph(N={self.num_nodes}, M={self.num_edges}, seed={self.seed})"
@@ -54,9 +53,7 @@ class GnmGraph:
 
     @property
     def node_labels(self):
-        if self._labels is None:
-            self._labels = np.arange(self.n_nodes_, dtype=np.int64)
-        return self._labels
+        return np.arange(self.n_nodes_, dtype=np.int64)
 
     def edge_endpoints(self):
         return self.edge_u, self.edge_v

@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from .baseline import NullModelConfig, baseline_report
-from .metrics import MetricsReport, compute_report
+from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
 from .netbuild import build_many, check_run
 from .primes import build_table
 
@@ -67,6 +67,8 @@ class SweepSpec:
             raise ValueError("max_even_cap must be even and >= 8")
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
+        if self.clustering not in CLUSTERING_CONVENTIONS:
+            raise ValueError(f"unknown clustering convention {self.clustering!r}")
 
 
 @dataclass
@@ -223,7 +225,7 @@ def run_sweep(spec, workers=1):
     """
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
     graphs = build_many(build_table(spec.max_even_cap), spec.alphas, seeds,
-                        target_nodes=spec.snapshot_nodes[-1], on_exhaust="partial")
+                        target_nodes=spec.snapshot_nodes[-1])
     tasks = (repeat(spec), range(len(graphs)), graphs)
     if workers > 1 and len(graphs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

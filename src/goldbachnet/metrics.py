@@ -73,42 +73,28 @@ class MetricsReport:
         return [(k, dist[k]) for k in sorted(dist)]
 
 
-class _Compact:
-    """Zero-based form of an undirected graph for the metrics.
+def _adjacency(graph):
+    """Symmetric 0/1 adjacency of ``graph`` as one CSR array, rows sorted.
 
-    ``adj`` is the symmetric 0/1 adjacency matrix as one CSR array with
-    sorted neighbors and ``int32`` data; ``eu``/``ev`` hold each edge once.
+    Row i belongs to ``node_labels[i]``; every kernel reads the node count,
+    the degrees and the edge count off this one array.
     """
-
-    __slots__ = ("n", "degrees", "adj", "eu", "ev")
-
-    def __init__(self, n, degrees, adj, eu, ev):
-        self.n = n
-        self.degrees = degrees
-        self.adj = adj
-        self.eu = eu
-        self.ev = ev
-
-
-def _compact(graph):
-    labels = np.asarray(graph.node_labels)
+    labels = graph.node_labels
     u, v = graph.edge_endpoints()
-    n = int(labels.size)
     eu = np.searchsorted(labels, u)
     ev = np.searchsorted(labels, v)
-    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
     # int32, not int8: one common-neighbor count can exceed 127
-    data = np.ones(dst.size, dtype=np.int32)
-    adj = csr_array((data, dst[order], indptr), shape=(n, n))
-    return _Compact(n, deg.astype(np.int64), adj, eu, ev)
+    data = np.ones(2 * eu.size, dtype=np.int32)
+    rows_cols = (np.concatenate([eu, ev]), np.concatenate([ev, eu]))
+    return csr_array((data, rows_cols), shape=(labels.size, labels.size))
 
 
-def _bfs_distance_histogram(comp):
+def _degrees(adj):
+    # int64: scipy may pick int32 indices, and k**3 overflows int32 above 1290
+    return np.diff(adj.indptr).astype(np.int64)
+
+
+def _bfs_distance_histogram(adj):
     """Count ordered reachable pairs at each hop distance.
 
     Runs breadth-first search from every node, 64 sources at a time: bit s
@@ -116,9 +102,9 @@ def _bfs_distance_histogram(comp):
     step unions the frontier bits of every node's neighbors via a single
     ``bitwise_or.reduceat`` over the CSR layout.
     """
-    indptr, indices = comp.adj.indptr, comp.adj.indices
+    n, indptr, indices = adj.shape[0], adj.indptr, adj.indices
     starts = indptr[:-1]
-    isolated = comp.degrees == 0
+    isolated = _degrees(adj) == 0
     any_isolated = bool(isolated.any())
     # trailing zero sentinel keeps every reduceat offset in bounds; OR-ing an
     # extra 0 into the final segment is a no-op, and the garbage produced for
@@ -126,9 +112,9 @@ def _bfs_distance_histogram(comp):
     vals = np.zeros(indices.size + 1, dtype=np.uint64)
     counts = np.zeros(8, dtype=np.int64)
     one = np.uint64(1)
-    for base in range(0, comp.n, 64):
-        width = min(64, comp.n - base)
-        visited = np.zeros(comp.n, dtype=np.uint64)
+    for base in range(0, n, 64):
+        width = min(64, n - base)
+        visited = np.zeros(n, dtype=np.uint64)
         sources = np.arange(base, base + width)
         visited[sources] = one << np.arange(width, dtype=np.uint64)
         frontier = visited.copy()
@@ -151,18 +137,19 @@ def _bfs_distance_histogram(comp):
     return counts
 
 
-def _distance_stats(comp):
-    if comp.n < 2:
-        raise DegenerateGraph(f"need at least 2 nodes, have {comp.n}")
-    _, labels = connected_components(comp.adj, directed=False)
+def _distance_stats(adj):
+    n = adj.shape[0]
+    if n < 2:
+        raise DegenerateGraph(f"need at least 2 nodes, have {n}")
+    _, labels = connected_components(adj, directed=False)
     sizes = np.bincount(labels).astype(np.int64)
     giant = int(sizes.max())
     reachable_pairs = int(np.sum(sizes * (sizes - 1) // 2))
-    total_pairs = comp.n * (comp.n - 1) // 2
+    total_pairs = n * (n - 1) // 2
     if reachable_pairs == 0:
         raise DegenerateGraph("no connected pair of nodes")
 
-    counts = _bfs_distance_histogram(comp)
+    counts = _bfs_distance_histogram(adj)
     pair_counts = counts // 2  # every unordered pair was seen from both ends
     total = int(pair_counts.sum())
     js = np.flatnonzero(pair_counts)
@@ -171,25 +158,25 @@ def _distance_stats(comp):
     return d, p_of_j, reachable_pairs / total_pairs, giant
 
 
-def _clustering(comp, convention):
+def _clustering(adj, convention):
     if convention not in CLUSTERING_CONVENTIONS:
         raise ValueError(f"unknown clustering convention {convention!r}")
-    deg = comp.degrees
+    n, deg = adj.shape[0], _degrees(adj)
     # links among the neighbors of i = triangles at i = (A^3)_ii / 2, summed
     # from (A @ A) * A one block of rows at a time to bound the product
-    links_among_neighbors = np.zeros(comp.n, dtype=np.int64)
-    for lo in range(0, comp.n, _TRIANGLE_ROWS):
+    links_among_neighbors = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _TRIANGLE_ROWS):
         block = slice(lo, lo + _TRIANGLE_ROWS)
-        rows = comp.adj[block]
-        links_among_neighbors[block] = (rows @ comp.adj).multiply(rows).sum(axis=1) // 2
+        rows = adj[block]
+        links_among_neighbors[block] = (rows @ adj).multiply(rows).sum(axis=1) // 2
     if convention == "standard":
         possible = deg * (deg - 1) // 2
     else:
         possible = deg * (deg + 1) // 2
-    c_i = np.zeros(comp.n, dtype=np.float64)
+    c_i = np.zeros(n, dtype=np.float64)
     ok = possible > 0
     c_i[ok] = links_among_neighbors[ok] / possible[ok]
-    c_mean = float(np.mean(c_i)) if comp.n else 0.0
+    c_mean = float(np.mean(c_i)) if n else 0.0
 
     by_degree = {}
     counts = np.bincount(deg)
@@ -199,30 +186,29 @@ def _clustering(comp, convention):
     return c_mean, by_degree
 
 
-def _degree_stats(comp):
-    if comp.n < 1:
+def _degree_stats(adj):
+    n, deg = adj.shape[0], _degrees(adj)
+    if n < 1:
         raise DegenerateGraph("graph has no nodes")
-    deg = comp.degrees
     counts = np.bincount(deg)
-    p_of_k = {int(k): float(counts[k] / comp.n) for k in np.flatnonzero(counts)}
+    p_of_k = {int(k): float(counts[k] / n) for k in np.flatnonzero(counts)}
     mean_k = float(deg.mean())
     f_k = float(np.sqrt(np.mean(deg.astype(np.float64) ** 2) - mean_k**2))
     return p_of_k, mean_k, f_k, int(deg.max())
 
 
-def _assortativity(comp):
-    m = int(comp.eu.size)
-    if m == 0:
+def _assortativity(adj):
+    if adj.nnz == 0:
         raise UndefinedAssortativity("graph has no edges")
-    j = comp.degrees[comp.eu]
-    k = comp.degrees[comp.ev]
-    # exact integer sums: the denominator must vanish exactly for
-    # degree-regular edge sets, not merely fall below a float tolerance
-    s_jk = int(np.sum(j * k))
-    s_half = int(np.sum(j + k))
-    s_sq = int(np.sum(j * j + k * k))
-    num = 4 * m * s_jk - s_half * s_half
-    den = 2 * m * s_sq - s_half * s_half
+    deg = _degrees(adj)
+    # exact integer sums over both directions of every edge: the denominator
+    # must vanish exactly for degree-regular edge sets, not merely fall below
+    # a float tolerance
+    s_kk = int(deg @ (adj @ deg))
+    s_k2 = int(deg @ deg)
+    s_k3 = int(np.sum(deg**3))
+    num = adj.nnz * s_kk - s_k2 * s_k2
+    den = adj.nnz * s_k3 - s_k2 * s_k2
     if den == 0:
         raise UndefinedAssortativity(
             "degrees at edge endpoints have zero variance"
@@ -240,7 +226,7 @@ def shortest_distance_stats(graph):
         probability over those pairs; reachable_fraction is their share of
         all N(N-1)/2 pairs.
     """
-    return _distance_stats(_compact(graph))
+    return _distance_stats(_adjacency(graph))
 
 
 def clustering(graph, convention="standard"):
@@ -250,12 +236,12 @@ def clustering(graph, convention="standard"):
     k(k-1)/2, "paper" uses k(k+1)/2. Nodes whose denominator is zero
     contribute 0, keeping C an average over all nodes.
     """
-    return _clustering(_compact(graph), convention)
+    return _clustering(_adjacency(graph), convention)
 
 
 def degree_stats(graph):
     """Degree distribution P(k), mean degree, degree spread, max degree."""
-    return _degree_stats(_compact(graph))
+    return _degree_stats(_adjacency(graph))
 
 
 def assortativity(graph):
@@ -264,22 +250,22 @@ def assortativity(graph):
     Raises UndefinedAssortativity when every edge joins equal-degree
     endpoints (zero variance), rather than reporting a silent 0.
     """
-    return _assortativity(_compact(graph))
+    return _assortativity(_adjacency(graph))
 
 
 def compute_report(graph, clustering_convention="standard"):
     """All statistics of one graph in a single pass over its CSR form."""
-    comp = _compact(graph)
-    d, p_of_j, reachable_fraction, giant = _distance_stats(comp)
-    c_mean, c_by_degree = _clustering(comp, clustering_convention)
-    p_of_k, mean_k, f_k, k_max = _degree_stats(comp)
+    adj = _adjacency(graph)
+    d, p_of_j, reachable_fraction, giant = _distance_stats(adj)
+    c_mean, c_by_degree = _clustering(adj, clustering_convention)
+    p_of_k, mean_k, f_k, k_max = _degree_stats(adj)
     try:
-        r = _assortativity(comp)
+        r = _assortativity(adj)
     except UndefinedAssortativity:
         r = None
     return MetricsReport(
-        n_nodes=comp.n,
-        n_edges=int(comp.eu.size),
+        n_nodes=adj.shape[0],
+        n_edges=adj.nnz // 2,
         d=d,
         p_of_j=p_of_j,
         reachable_fraction=float(reachable_fraction),

@@ -17,10 +17,7 @@ import numpy as np
 from .errors import OutOfRange, SieveExhausted
 from .goldbach import GoldbachPair, decompose
 
-# uniforms are drawn in fixed-size blocks so that the value consumed for the
-# j-th even number depends only on (seed, j), never on how the loop is batched
-_UNIFORM_BLOCK = 4096
-# even numbers per array pass of build_many; must divide _UNIFORM_BLOCK
+# even numbers per array pass of build_many
 _CHUNK = 256
 
 
@@ -220,25 +217,24 @@ class PrimeGraph:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
-               on_exhaust="raise"):
+def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
     """Build one realization per (alpha, seed), sharing the per-even work.
 
-    Bit-for-bit equivalent to building each row on its own: seed i draws
-    its uniforms from its own generator in blocks of ``_UNIFORM_BLOCK``,
-    and the j-th even number (n = 8 + 2j) uses the (j mod block)-th value
-    of its block j // block, whatever the batching; every finite alpha
-    reads the same uniforms of seed i, and +inf and -inf consume none.
+    Bit-for-bit equivalent to building each row on its own: the j-th even
+    number (n = 8 + 2j) uses the j-th uniform of seed i's own generator,
+    whatever the batching, since ``Generator.random`` spends one 64-bit
+    output per double and carries nothing between calls; every finite
+    alpha reads the same uniforms of seed i, and +inf and -inf consume
+    none.
 
-    Even numbers are processed in chunks of at most ``_CHUNK`` that never
-    cross a block boundary. Each even number is decomposed once and one
-    ``_pick`` call per alpha selects the pairs of every still-active row
-    of that alpha. Node counts are then taken per chunk with array
-    operations: an endpoint is new when it is the first occurrence of its
-    prime within the chunk and the row has not seen that prime before. A
-    row that reaches ``target_nodes`` is cut at the first crossing and
-    leaves the active set at the end of the chunk, so fewer than
-    ``_CHUNK`` even numbers are decomposed past the last stop.
+    Even numbers are processed in chunks of at most ``_CHUNK``. Each even
+    number is decomposed once and one ``_pick`` call per alpha selects the
+    pairs of every still-active row of that alpha. Node counts are then
+    taken per chunk with array operations: an endpoint is new when it is
+    the first occurrence of its prime within the chunk and the row has not
+    seen that prime before. A row that reaches ``target_nodes`` is cut at
+    the first crossing and leaves the active set at the end of the chunk,
+    so fewer than ``_CHUNK`` even numbers are decomposed past the last stop.
 
     Parameters
     ----------
@@ -248,20 +244,17 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
     seeds : sequence of int
     max_even, target_nodes : int, optional
         Stop rule; exactly one must be given.
-    on_exhaust : {"raise", "partial"}
-        Whether running out of even numbers before reaching target_nodes
-        raises SieveExhausted or returns the partial graphs flagged
-        ``exhausted``.
 
     Returns
     -------
     list of PrimeGraph
         Alpha-major: the graph of ``(alphas[a], seeds[i])`` is at
-        ``a * len(seeds) + i``, so a single float gives one per seed.
+        ``a * len(seeds) + i``, so a single float gives one per seed. A row
+        that runs out of even numbers before reaching ``target_nodes`` is
+        returned as built with ``exhausted`` set; nothing is raised, so a
+        direct caller reads ``.exhausted``.
     """
     alphas = [check_run(a, (max_even, target_nodes)) for a in np.ravel(alphas)]
-    if on_exhaust not in ("raise", "partial"):
-        raise ValueError(f"unknown on_exhaust mode {on_exhaust!r}")
     if max_even is not None and max_even > table.limit:
         raise OutOfRange(
             f"max_even={max_even} needs a sieve up to it, "
@@ -276,7 +269,6 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
     target = target_nodes if target_nodes is not None else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
-    uniforms = np.zeros((n_seeds, _UNIFORM_BLOCK))
     # flat (row, prime index) flags, so keys of distinct rows differ
     seen = np.zeros(n_rows * table.n_primes, dtype=bool)
     count = np.zeros(n_rows, dtype=np.int64)
@@ -287,14 +279,12 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
     for j in range(0, n_evens, _CHUNK):
         if not active.size:
             break
-        # a chunk never crosses a uniform block, as _CHUNK divides the block
         evens = np.arange(8 + 2 * j, 8 + 2 * min(j + _CHUNK, n_evens), 2)
-        off = j % _UNIFORM_BLOCK
         row_alpha, row_seed = np.divmod(active, n_seeds)
-        if off == 0:
-            for i in np.unique(row_seed[finite[row_alpha]]):
-                uniforms[i] = gens[i].random(_UNIFORM_BLOCK)
-        draws = uniforms[row_seed, off:off + evens.size]
+        uniforms = np.zeros((n_seeds, evens.size))
+        for i in np.unique(row_seed[finite[row_alpha]]):
+            uniforms[i] = gens[i].random(evens.size)
+        draws = uniforms[row_seed]
         # active rows are alpha-major, so each alpha's rows are one slice
         bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
         groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
@@ -325,14 +315,6 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
         active = active[~reached]
 
     exhausted = bool(active.size) and max_even is None
-    if exhausted and on_exhaust == "raise":
-        r = active[0]
-        raise SieveExhausted(
-            f"even numbers exhausted at {6 + 2 * n_evens} (bound {table.limit}): "
-            f"reached N={count[r]} of {target_nodes} nodes with "
-            f"M={sum(part[0].size for part in parts[r])} links "
-            f"at alpha={alphas[r // n_seeds]!r}"
-        )
     return [PrimeGraph(*map(np.concatenate, zip(*parts.pop(r))),
                        alphas[r // n_seeds], seeds[r % n_seeds],
                        exhausted=exhausted and r in active)
@@ -340,13 +322,19 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None,
 
 
 def build(cfg, table):
-    """Run the construction described by ``cfg`` against ``table``."""
-    return build_many(
-        table,
-        cfg.alpha,
-        [cfg.seed],
-        max_even=cfg.max_even,
-        target_nodes=cfg.target_nodes,
-        on_exhaust="raise",
-    )[0]
+    """Run the construction described by ``cfg`` against ``table``.
+
+    Raises SieveExhausted when the sieve bound is consumed before the
+    graph reaches ``cfg.target_nodes``.
+    """
+    graph = build_many(table, cfg.alpha, [cfg.seed], max_even=cfg.max_even,
+                       target_nodes=cfg.target_nodes)[0]
+    if graph.exhausted:
+        m = graph.num_edges
+        raise SieveExhausted(
+            f"even numbers exhausted at {6 + 2 * m} (bound {table.limit}): "
+            f"reached N={graph.num_nodes} of {cfg.target_nodes} nodes with "
+            f"M={m} links at alpha={graph.alpha!r}"
+        )
+    return graph
 

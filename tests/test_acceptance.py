@@ -338,8 +338,7 @@ def test_criterion_10_connectivity_discontinuity(table_1m):
     stats = {}
     for alpha in (-2.5, 0.0):
         seeds = [realization_seed(MASTER_SEED, i) for i in range(20)]
-        graphs = build_many(table_1m, alpha, seeds, target_nodes=5000,
-                            on_exhaust="partial")
+        graphs = build_many(table_1m, alpha, seeds, target_nodes=5000)
         per = [degree_stats(g.snapshot_at(5000)) for g in graphs]
         stats[alpha] = (
             float(np.mean([s[1] for s in per])),

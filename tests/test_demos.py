@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_build_a_network.py", "04_figure_datasets.py"])
+@pytest.mark.parametrize("demo", ["01_build_a_network.py",
+                                  "02_small_world_vs_regular.py",
+                                  "03_alpha_sweep.py",
+                                  "04_figure_datasets.py"])
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

@@ -189,6 +189,14 @@ def test_spec_validation():
         SweepSpec(alphas=(float("nan"),), snapshot_nodes=(10,))
 
 
+def test_spec_rejects_unknown_clustering():
+    # caught at construction, not after the whole build stage of run_sweep
+    with pytest.raises(ValueError, match="papre"):
+        SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), clustering="papre")
+    assert SweepSpec(alphas=(0.0,), snapshot_nodes=(10,),
+                     clustering="paper").clustering == "paper"
+
+
 def test_json_document_roundtrip():
     import json
 

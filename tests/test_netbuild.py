@@ -90,8 +90,8 @@ def test_build_many_matches_individual_builds(table_30k):
 
 
 def test_build_replays_select_pair_stream(table_30k):
-    # the builder must consume one uniform per even number, block-buffered,
-    # and pick exactly what select_pair picks from the same draw
+    # the builder must consume the j-th uniform of the seed's stream at the
+    # j-th even number and pick exactly what select_pair picks from it
     seed, alpha = 777, 1.3
     g = build(BuildConfig(alpha=alpha, seed=seed, max_even=2000), table_30k)
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -165,8 +165,7 @@ def test_build_many_replays_reference_target_stops(table_30k):
 def test_build_many_partial_flags_only_exhausted(table_2k):
     # seed 7 reaches 275 nodes below the sieve bound, seed 9 never does
     seeds, target = [7, 9], 275
-    graphs = build_many(table_2k, 0.0, seeds, target_nodes=target,
-                        on_exhaust="partial")
+    graphs = build_many(table_2k, 0.0, seeds, target_nodes=target)
     reference = _reference_builds(table_2k, 0.0, seeds, 2000, target)
     _assert_replays(graphs, reference)
     assert [reached for _, _, reached in reference] == [True, False]
@@ -175,7 +174,7 @@ def test_build_many_partial_flags_only_exhausted(table_2k):
 
 
 # finite and infinite alphas share each seed: the infinite rows draw no
-# uniforms, the finite ones read the same block of their seed
+# uniforms, the finite ones read the same uniforms of their seed
 MIXED_ALPHAS = (-INF, -2.5, 0.7, INF)
 
 
@@ -226,13 +225,10 @@ def test_build_many_alphas_partial_flags_only_exhausted(table_2k):
     # does, and at 0.7 seeds 7 and 4 do while seed 9 does not
     target = 285
     graphs, references = _assert_multi_alpha_replays(
-        table_2k, [7, 9, 4], 2000, target, target_nodes=target,
-        on_exhaust="partial")
+        table_2k, [7, 9, 4], 2000, target, target_nodes=target)
     flags = [g.exhausted for g in graphs]
     assert flags == [not reached for _, _, reached in references]
     assert flags == [True] * 6 + [False, True, False] + [False] * 3
-    with pytest.raises(SieveExhausted, match="alpha=-inf"):
-        build_many(table_2k, MIXED_ALPHAS, [7, 9, 4], target_nodes=target)
 
 
 def test_graphs_store_int32_and_derive_source_evens(table_2k):
@@ -300,13 +296,15 @@ def test_snapshot_prefix_consistency(table_30k):
 def test_sieve_exhausted(table_2k):
     with pytest.raises(SieveExhausted) as err:
         build(BuildConfig(alpha=0.0, seed=1, target_nodes=100_000), table_2k)
-    message = str(err.value)
-    assert "N=" in message and "M=" in message  # partial-state diagnostic
+    # the partial state: last even consumed, nodes reached, links, alpha
+    assert str(err.value) == (
+        "even numbers exhausted at 2000 (bound 2000): reached N=272 of 100000 "
+        "nodes with M=997 links at alpha=0.0"
+    )
 
 
 def test_exhaust_partial_mode(table_2k):
-    graphs = build_many(table_2k, 0.0, [1, 2], target_nodes=100_000,
-                        on_exhaust="partial")
+    graphs = build_many(table_2k, 0.0, [1, 2], target_nodes=100_000)
     assert all(g.exhausted for g in graphs)
     assert all(g.num_edges > 0 for g in graphs)
     assert all(int(g.edge_even[-1]) <= table_2k.limit for g in graphs)

@@ -1,21 +1,22 @@
-"""Property tests of construction, run derandomized so that tier-1 stays
-deterministic."""
+"""Property tests of construction, metrics and the null model, run
+derandomized so that tier-1 stays deterministic."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import TinyGraph, newman_r
 
-from goldbachnet import build_many
+from goldbachnet import NullModelConfig, build_many, compute_report, sample_gnm
 
 ALPHAS = (-math.inf, -2.5, -1.0, 0.0, 0.7, 2.0, math.inf)
 SEEDS = (1, 7, 9, 42, 2**63 + 5)
 
 stops = st.one_of(
     st.builds(lambda n: {"max_even": 2 * n}, st.integers(4, 1000)),
-    st.builds(lambda n: {"target_nodes": n, "on_exhaust": "partial"},
-              st.integers(2, 320)),
+    st.builds(lambda n: {"target_nodes": n}, st.integers(2, 320)),
 )
 
 
@@ -37,3 +38,125 @@ def test_row_independent_of_call_companions(table_2k, alphas, seeds, stop, data)
     assert np.array_equal(joint.node_count_history, alone.node_count_history)
     assert (joint.alpha, joint.seed, joint.exhausted) == (
         alone.alpha, alone.seed, alone.exhausted)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(alpha=st.sampled_from(ALPHAS), seed=st.sampled_from(SEEDS), stop=stops,
+       n_star=st.integers(2, 400))
+def test_construction_is_goldbach_simple_and_prefix_closed(table_2k, alpha, seed,
+                                                          stop, n_star):
+    """Edge i joins two primes summing to 8 + 2i, no edge repeats, the node
+    count history counts distinct primes, and a snapshot is a prefix."""
+    g = build_many(table_2k, alpha, [seed], **stop)[0]
+    p, q = g.edge_p.astype(np.int64), g.edge_q.astype(np.int64)
+    assert (p + q == 8 + 2 * np.arange(g.num_edges)).all()
+    assert (p < q).all()
+    assert table_2k.is_prime_array(p).all() and table_2k.is_prime_array(q).all()
+    assert np.unique(p * table_2k.limit + q).size == g.num_edges
+    seen = set()
+    for i, pair in enumerate(zip(p.tolist(), q.tolist())):
+        seen.update(pair)
+        assert g.node_count_history[i] == len(seen)
+    sub = g.snapshot_at(n_star)
+    if sub is None:
+        assert g.num_nodes < n_star
+        return
+    m = sub.num_edges
+    assert np.array_equal(sub.edge_p, g.edge_p[:m])
+    assert np.array_equal(sub.edge_q, g.edge_q[:m])
+    assert np.array_equal(sub.node_count_history, g.node_count_history[:m])
+    assert sub.num_nodes >= n_star and (m == 1 or sub.node_count_history[-2] < n_star)
+
+
+def _pairs(n):
+    return (st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))))
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 40 nodes and 2n edges: often disconnected, often with isolated
+    nodes."""
+    n = draw(st.integers(2, 40))
+    return n, sorted(draw(st.sets(_pairs(n), min_size=1, max_size=2 * n)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(graph=small_graphs(), data=st.data())
+def test_report_invariant_under_any_relabelling(graph, data):
+    """Any permutation onto any sorted, non-contiguous labels, with edges
+    reversed in order and direction, gives the same report; only the float
+    sums over nodes, C and C(k), may round differently."""
+    n, edges = graph
+    perm = data.draw(st.permutations(range(n)), label="permutation")
+    labels = sorted(data.draw(st.sets(st.integers(0, 10**9), min_size=n,
+                                      max_size=n), label="labels"))
+    new = [labels[i] for i in perm]
+    moved = [(new[v], new[u]) for u, v in reversed(edges)]
+    before = compute_report(TinyGraph(n, edges)).to_dict()
+    after = compute_report(TinyGraph(n, moved, labels=labels)).to_dict()
+    assert before.pop("C") == pytest.approx(after.pop("C"), rel=0, abs=1e-12)
+    c_k, c_k_after = before.pop("C_by_degree"), after.pop("C_by_degree")
+    assert c_k.keys() == c_k_after.keys()
+    for k in c_k:
+        assert c_k[k] == pytest.approx(c_k_after[k], rel=0, abs=1e-12)
+    assert before == after
+
+
+@st.composite
+def hub_graphs(draw):
+    """9 to 40 nodes, one to three hubs linked to at least half of the
+    others, plus up to n random edges."""
+    n = draw(st.integers(9, 40))
+    edges = draw(st.sets(_pairs(n), max_size=n))
+    for hub in range(draw(st.integers(1, 3))):
+        spokes = draw(st.sets(st.integers(0, n - 1), min_size=n // 2))
+        edges |= {(min(hub, s), max(hub, s)) for s in spokes if s != hub}
+    return n, sorted(edges)
+
+
+@st.composite
+def edge_regular_graphs(draw):
+    """Disjoint copies of one k-regular graph (cycles, or cliques K_m) plus
+    isolated nodes: every edge end has degree k, so r is undefined."""
+    edges, n = [], 0
+    if draw(st.booleans()):
+        for size in draw(st.lists(st.integers(3, 9), min_size=1, max_size=4)):
+            edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+            n += size
+    else:
+        size = draw(st.integers(2, 6))
+        for _ in range(draw(st.integers(1, 4))):
+            edges += [(n + i, n + j) for i in range(size) for j in range(i + 1, size)]
+            n += size
+    return n + draw(st.integers(0, 5)), edges
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(graph=st.one_of(hub_graphs(), edge_regular_graphs()))
+def test_assortativity_matches_newman_oracle(graph):
+    n, edges = graph
+    expected = newman_r(n, edges)
+    r = compute_report(TinyGraph(n, edges)).r
+    if expected is None:
+        assert r is None
+    else:
+        assert r == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+@st.composite
+def gnm_configs(draw):
+    n = draw(st.integers(2, 30))
+    most = n * (n - 1) // 2
+    m = draw(st.one_of(st.just(most), st.integers(0, most)))
+    return NullModelConfig(n, m, draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cfg=gnm_configs())
+def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(cfg):
+    g = sample_gnm(cfg)
+    u, v = g.edge_endpoints()
+    assert u.size == v.size == cfg.m_edges
+    assert ((0 <= u) & (u < v) & (v < cfg.n_nodes)).all()
+    assert np.unique(u * cfg.n_nodes + v).size == cfg.m_edges
