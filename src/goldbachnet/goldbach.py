@@ -20,18 +20,21 @@ class GoldbachPair(NamedTuple):
 
 
 class Decomposition:
-    """All prime pairs (p, q), p < q, summing to one even number.
+    """All prime pairs (p, q), p < q, summing to one even number, or to each
+    even number of a range.
 
-    Pairs are stored as parallel arrays sorted by ascending p.
+    Pairs are stored as parallel arrays, even number by even number, each
+    sorted by ascending p; ``counts`` holds the pair count of each even.
     """
 
-    __slots__ = ("n", "p", "q", "delta")
+    __slots__ = ("n", "p", "q", "delta", "counts")
 
-    def __init__(self, n, p, q):
-        self.n = int(n)
+    def __init__(self, n, p, q, counts):
+        self.n = n if isinstance(n, range) else int(n)
         self.p = p
         self.q = q
         self.delta = q - p
+        self.counts = counts
 
     @property
     def omega(self):
@@ -50,14 +53,18 @@ class Decomposition:
 
 
 def decompose(table, n):
-    """Enumerate the prime pairs of an even number.
+    """Enumerate the prime pairs of an even number, or of a range of them.
+
+    For each odd prime p up to half the largest even number, the primes
+    q > p completing a pair are one slice of the ordered primes, confirmed
+    by the membership flags; a stable sort on the even number groups them.
 
     Parameters
     ----------
     table : PrimeTable
-        Sieve covering at least n - 3.
-    n : int
-        Even number, at least 8.
+        Sieve covering at least the largest even number minus 3.
+    n : int or range
+        Even number, at least 8, or a range of them in steps of 2.
 
     Returns
     -------
@@ -66,27 +73,34 @@ def decompose(table, n):
     Raises
     ------
     InvalidEvenNumber
-        If n is odd or below 8.
+        If n is odd or below 8, or the range is empty or not of step 2.
     OutOfRange
-        If the sieve is too small for n.
+        If the sieve is too small for the largest even number.
     UndecomposableEven
-        If no pair exists (never observed for even n >= 8; fatal on purpose).
+        Naming the first even number without a pair (never observed for
+        even n >= 8; fatal on purpose).
     """
-    n = int(n)
-    if n < 8 or n % 2:
-        raise InvalidEvenNumber(f"need an even number >= 8, got {n}")
-    if n > table.limit + 3:
+    evens = n if isinstance(n, range) else range(int(n), int(n) + 1, 2)
+    if not evens or evens.step != 2 or evens[0] < 8 or evens[0] % 2:
+        raise InvalidEvenNumber(f"need even numbers >= 8 in steps of 2, got {n}")
+    n0, n1 = evens[0], evens[-1]
+    if n1 > table.limit + 3:
         raise OutOfRange(
-            f"{n} needs primes up to {n - 3}, sieve stops at {table.limit}"
+            f"{n1} needs primes up to {n1 - 3}, sieve stops at {table.limit}"
         )
     primes = table.ordered_primes
-    hi = int(np.searchsorted(primes, (n - 1) // 2, side="right"))
-    p = primes[1:hi]  # skip 2: n - 2 is even and > 2, never prime here
-    q = n - p
-    mask = table._membership(q)
-    p = p[mask]
-    q = q[mask]
-    if p.size == 0:
-        raise UndecomposableEven(f"no prime pair p < q found for {n}")
-    return Decomposition(n, p, q)
-
+    # odd p <= n1 / 2 (n - 2 is never prime), q above p in the primes' order
+    p = primes[1:primes.searchsorted(n1 // 2, side="right")]
+    lo = np.maximum(primes.searchsorted(n0 - p), np.arange(2, p.size + 2))
+    count = np.maximum(primes.searchsorted(n1 - p, side="right") - lo, 0)
+    q = primes[np.repeat(lo - count.cumsum() + count, count) + np.arange(count.sum())]
+    p = np.repeat(p, count)
+    keep = table._flags[q]
+    p, q = p[keep], q[keep]
+    even = ((p + q - n0) >> 1).astype(np.min_scalar_type(len(evens) - 1))
+    order = even.argsort(kind="stable")
+    counts = np.bincount(even, minlength=len(evens))
+    if not counts.all():
+        raise UndecomposableEven(
+            f"no prime pair p < q found for {evens[int(counts.argmin())]}")
+    return Decomposition(n, p[order], q[order], counts)

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import OutOfRange, SieveExhausted
 from .goldbach import GoldbachPair, decompose
 
-# even numbers per array pass of build_many
+# even numbers per node-counting pass of build_many, and per decompose and
+# pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
 _CHUNK = 256
+_BLOCK = 32
 
 
 def check_run(alpha, stop=None):
@@ -43,41 +45,52 @@ def check_run(alpha, stop=None):
     return alpha
 
 
-def _cumulative_weights(delta, alpha):
-    # max-rescaled exponentials; naive delta**alpha overflows for |alpha| ~ 5
-    # once spreads reach ~10**6
-    logw = np.log(delta, dtype=np.float64)
-    logw *= alpha
-    logw -= logw.max()
-    return np.exp(logw, out=logw).cumsum()
+def _picker(delta, counts):
+    """Return ``pick(alpha, draws)`` for a block of even numbers.
 
+    ``delta`` holds the spreads of the block's pairs, even by even, and
+    ``counts`` each even's pair count; ``pick`` maps draws of shape (rows,
+    evens) to indices into ``delta``. A draw picks the pair in whose slot
+    of the cumulative max-rescaled delta**alpha weights it lands (naive
+    powers overflow for |alpha| ~ 5 once spreads reach ~10**6), the last
+    pair if it rounds onto the total. alpha = +inf (-inf) picks the first
+    (last) pair, whose spread is the largest (smallest).
 
-def _pick(delta, alpha, draws):
-    """Index of the pair each uniform of ``draws`` selects, as an array.
-
-    For finite alpha, pair i is chosen iff the draw lands in the i-th
-    cumulative slot of the normalized delta**alpha weights; a draw that
-    rounds onto the total picks the last pair. For alpha = +inf (-inf)
-    every draw picks the largest (smallest) spread; ties are impossible
-    because spreads within one even number are distinct.
+    Each row of the (evens, max count) weights is padded with copies of its
+    last log spread, so its maximum is its even's own and ``cumsum(axis=1)``
+    gives the doubles of the even's 1-D cumsum; padded slots hold at least
+    the total. Complex keys row + 1j * cum sort lexicographically, so one
+    search serves the block.
     """
-    if alpha == math.inf:
-        return np.full(len(draws), np.argmax(delta))
-    if alpha == -math.inf:
-        return np.full(len(draws), np.argmin(delta))
-    cum = _cumulative_weights(delta, alpha)
-    return cum[:-1].searchsorted(draws * cum[-1], side="right")
+    first, last = counts.cumsum() - counts, counts - 1
+    rows = np.arange(counts.size)
+    slot = np.minimum(np.arange(counts.max()), last[:, None])
+    logd = np.log(delta, dtype=np.float64)[first[:, None] + slot]
+    keys = np.empty(logd.shape, dtype=np.complex128)
+    keys.real = rows[:, None]
+
+    def pick(alpha, draws):
+        if math.isinf(alpha):
+            return np.broadcast_to(first + last * (alpha < 0), draws.shape)
+        w = logd * alpha
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w).cumsum(axis=1, out=keys.imag)
+        x = rows + 1j * (draws * keys.imag[rows, last])
+        count = keys.ravel().searchsorted(x, side="right") - rows * logd.shape[1]
+        return first + np.minimum(count, last)
+
+    return pick
 
 
 def select_pair(decomp, alpha, rng_draw):
     """Pick one pair of ``decomp`` from a single uniform draw.
 
     The one-draw case of the selection ``build_many`` makes for every even
-    number (see ``_pick``); for alpha = +inf (-inf) the draw is ignored.
+    number (see ``_picker``); for alpha = +inf (-inf) the draw is ignored.
 
     Parameters
     ----------
-    decomp : Decomposition
+    decomp : Decomposition of one even number
     alpha : float
         Spread exponent; +inf and -inf are allowed, NaN is not.
     rng_draw : float
@@ -88,7 +101,8 @@ def select_pair(decomp, alpha, rng_draw):
     GoldbachPair
     """
     alpha = check_run(alpha)
-    i = int(_pick(decomp.delta, alpha, np.array([float(rng_draw)]))[0])
+    pick = _picker(decomp.delta, decomp.counts)
+    i = int(pick(alpha, np.array([[float(rng_draw)]]))[0, 0])
     return GoldbachPair(int(decomp.p[i]), int(decomp.q[i]), int(decomp.delta[i]))
 
 
@@ -227,9 +241,10 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
     alpha reads the same uniforms of seed i, and +inf and -inf consume
     none.
 
-    Even numbers are processed in chunks of at most ``_CHUNK``. Each even
-    number is decomposed once and one ``_pick`` call per alpha selects the
-    pairs of every still-active row of that alpha. Node counts are then
+    Even numbers are processed in chunks of at most ``_CHUNK``. Each block
+    of ``_BLOCK`` even numbers is decomposed in one call, and one ``pick``
+    per alpha selects the pairs of every still-active row of that alpha
+    over the whole block. Node counts are then
     taken per chunk with array operations: an endpoint is new when it is
     the first occurrence of its prime within the chunk and the row has not
     seen that prime before. A row that reaches ``target_nodes`` is cut at
@@ -289,10 +304,12 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
         bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
         groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
         p = np.empty((active.size, evens.size), dtype=np.int64)
-        for c, n in enumerate(evens):
-            decomp = decompose(table, n)
+        for c in range(0, evens.size, _BLOCK):
+            block = slice(c, c + _BLOCK)
+            decomp = decompose(table, range(evens[c], evens[block][-1] + 1, 2))
+            pick = _picker(decomp.delta, decomp.counts)
             for alpha, lo, hi in groups:
-                p[lo:hi, c] = decomp.p[_pick(decomp.delta, alpha, draws[lo:hi, c])]
+                p[lo:hi, block] = decomp.p[pick(alpha, draws[lo:hi, block])]
         q = evens - p
 
         # an endpoint is new if it is the first occurrence of its key in the

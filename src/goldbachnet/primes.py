@@ -38,17 +38,6 @@ class PrimeTable:
     def __contains__(self, n):
         return self.is_prime(n)
 
-    def is_prime_array(self, values):
-        """Vectorized membership test; every value must lie in [0, limit]."""
-        v = np.asarray(values, dtype=np.int64)
-        if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
-            raise OutOfRange("value outside the sieve range")
-        return self._membership(v)
-
-    def _membership(self, v):
-        # bounds already guaranteed by the caller
-        return self._flags[v]
-
 
 def build_table(limit):
     """Sieve of Eratosthenes over [2, limit].

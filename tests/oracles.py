@@ -1,9 +1,11 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: trial division, double loops,
-Floyd-Warshall, dense triple counting. None of it shares code with the
-package under test.
+Floyd-Warshall, dense triple counting, pair selection one even number at
+a time. None of it shares code with the package under test.
 """
+
+import math
 
 import numpy as np
 
@@ -33,6 +35,25 @@ def brute_force_pairs(n, prime_set=None):
         if p < q and p in prime_set and q in prime_set:
             out.append((p, q, q - p))
     return out
+
+
+def pick_index(delta, alpha, draws):
+    """Index of the pair of one even number that each draw selects.
+
+    The delta**alpha selection law, one even number at a time: a draw picks
+    pair i iff it lands in the i-th cumulative slot of the max-rescaled
+    weights, the last pair if it rounds onto the total; +inf (-inf) picks
+    the largest (smallest) spread.
+    """
+    if alpha == math.inf:
+        return np.full(len(draws), np.argmax(delta))
+    if alpha == -math.inf:
+        return np.full(len(draws), np.argmin(delta))
+    logw = np.log(delta, dtype=np.float64)
+    logw *= alpha
+    logw -= logw.max()
+    cum = np.exp(logw, out=logw).cumsum()
+    return cum[:-1].searchsorted(draws * cum[-1], side="right")
 
 
 class TinyGraph:

@@ -148,8 +148,8 @@ def test_criterion_01_exactness(table_30k):
     assert np.array_equal(g.edge_even, np.arange(8, 10_001, 2))
     assert (g.edge_p + g.edge_q == g.edge_even).all()
     assert (g.edge_p < g.edge_q).all()
-    assert table_30k.is_prime_array(g.edge_p).all()
-    assert table_30k.is_prime_array(g.edge_q).all()
+    assert np.isin(g.edge_p, table_30k.ordered_primes).all()
+    assert np.isin(g.edge_q, table_30k.ordered_primes).all()
     keys = g.edge_p.astype(np.int64) * 10**9 + g.edge_q
     assert np.unique(keys).size == g.num_edges  # simple graph
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from goldbachnet import decompose
+from goldbachnet import build_many, decompose
 from goldbachnet.errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
 from goldbachnet.primes import PrimeTable, build_table
 
@@ -64,10 +66,61 @@ def test_validation_errors(table_2k):
         decompose(table_2k, 2010)
 
 
+def _split(d):
+    """Per-even (p, q) arrays of a range decomposition."""
+    ends = np.cumsum(d.counts)[:-1]
+    return zip(np.split(d.p, ends), np.split(d.q, ends))
+
+
+def test_range_decomposition_matches_single_evens_up_to_20k(table_30k):
+    # build_many's blocks of 32 even numbers, the last one cut at 20000
+    for n0 in range(8, 20_001, 64):
+        evens = range(n0, min(n0 + 64, 20_002), 2)
+        for n, (p, q) in zip(evens, _split(decompose(table_30k, evens))):
+            d = decompose(table_30k, n)
+            assert np.array_equal(p, d.p) and np.array_equal(q, d.q), n
+            assert d.counts.tolist() == [d.omega]
+
+
+def test_range_decomposition_matches_brute_force_up_to_1m(table_1m):
+    rng = np.random.default_rng(20260808)
+    prime_set = set(table_1m.ordered_primes.tolist())
+    starts = [8, 999_994] + (2 * rng.integers(4, 499_980, size=3)).tolist()
+    for n0, width in zip(starts, (32, 4, 3, 4, 5)):
+        evens = range(n0, n0 + 2 * width, 2)
+        d = decompose(table_1m, evens)
+        expected = [brute_force_pairs(n, prime_set) for n in evens]
+        assert d.counts.tolist() == [len(pairs) for pairs in expected]
+        for (p, q), pairs in zip(_split(d), expected):
+            assert list(zip(p.tolist(), q.tolist())) == [(a, b) for a, b, _ in pairs]
+
+
+def test_range_validation(table_2k):
+    for bad in (range(8, 8, 2), range(8, 20, 4), range(6, 20, 2), range(9, 21, 2)):
+        with pytest.raises(InvalidEvenNumber):
+            decompose(table_2k, bad)
+    with pytest.raises(OutOfRange):
+        decompose(table_2k, range(1990, 2010, 2))
+
+
 def test_undecomposable_aborts_loudly():
     # doctored table with no primes marked: the guard must fire, not skip
     real = build_table(100)
     hollow = PrimeTable(100, real.ordered_primes, np.zeros(101, dtype=bool))
     with pytest.raises(UndecomposableEven):
         decompose(hollow, 20)
+    with pytest.raises(UndecomposableEven, match="found for 8$"):
+        build_many(hollow, 0.0, [1], max_even=20)
 
+
+def test_undecomposable_names_the_first_even_of_a_block():
+    # 7 unmarked as a partner: 10 = 3 + 7 and 12 = 5 + 7 lose their only
+    # pair, 8 = 3 + 5 keeps it
+    real = build_table(100)
+    flags = np.isin(np.arange(101), real.ordered_primes) & (np.arange(101) != 7)
+    holed = PrimeTable(100, real.ordered_primes, flags)
+    with pytest.raises(UndecomposableEven, match="found for 12$"):
+        decompose(holed, range(12, 42, 2))
+    with pytest.raises(UndecomposableEven, match="found for 10$"):
+        build_many(holed, (0.0, -math.inf), [1, 2], max_even=40)
+    assert [(a, b) for a, b, _ in decompose(holed, 8).pairs] == [(3, 5)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ import pytest
 from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, decompose,
                          select_pair)
 from goldbachnet.errors import OutOfRange, SieveExhausted
-from goldbachnet.netbuild import _cumulative_weights, _pick
+from goldbachnet.netbuild import _picker
+
+from oracles import pick_index
 
 INF = math.inf
+
+
+def _kernel_picks(d, alpha, draws):
+    """Pairs of one even number that the block kernel picks for ``draws``."""
+    return _picker(d.delta, d.counts)(alpha, draws[:, None])[:, 0]
 
 
 def test_select_pair_slots_n24(table_2k):
@@ -46,7 +54,7 @@ def test_selection_frequencies_3sigma(table_2k):
     d = decompose(table_2k, 24)
     rng = np.random.default_rng(123)
     trials = 10_000
-    counts = np.bincount(_pick(d.delta, 1.0, rng.random(trials)), minlength=3)
+    counts = np.bincount(_kernel_picks(d, 1.0, rng.random(trials)), minlength=3)
     for i, prob in enumerate((14 / 26, 10 / 26, 2 / 26)):
         sigma = math.sqrt(prob * (1 - prob) / trials)
         assert abs(counts[i] / trials - prob) < 3 * sigma
@@ -105,7 +113,8 @@ def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
     """Per-even, per-seed construction written independently of build_many.
 
     The pinned rule: the j-th even number n = 8 + 2j uses value j % 4096 of
-    the seed's (j // 4096)-th block of 4096 uniforms; +-inf draws none.
+    the seed's (j // 4096)-th block of 4096 uniforms; +-inf draws none. The
+    pair comes from the per-even selection oracle ``pick_index``.
     Returns (edges, history, reached) per seed.
     """
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
@@ -123,9 +132,10 @@ def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
                 if j % 4096 == 0:
                     blocks[r] = gens[r].random(4096)
                 u = float(blocks[r][j % 4096])
-            pair = select_pair(decomp, alpha, u)
-            edges.append((pair.p, pair.q, n))
-            seen[r].update((pair.p, pair.q))
+            i = pick_index(decomp.delta, alpha, np.array([u]))[0]
+            pair = (int(decomp.p[i]), int(decomp.q[i]))
+            edges.append((*pair, n))
+            seen[r].update(pair)
             hist.append(len(seen[r]))
             if target_nodes is not None and len(seen[r]) >= target_nodes:
                 out[r] = (edges, hist, True)
@@ -256,8 +266,8 @@ def test_simplicity_and_node_bound(table_30k, alpha):
     g = build(BuildConfig(alpha=alpha, seed=31, max_even=20_000), table_30k)
     assert (g.edge_p < g.edge_q).all()
     assert (g.edge_p + g.edge_q == g.edge_even).all()
-    assert table_30k.is_prime_array(g.edge_p).all()
-    assert table_30k.is_prime_array(g.edge_q).all()
+    assert np.isin(g.edge_p, table_30k.ordered_primes).all()
+    assert np.isin(g.edge_q, table_30k.ordered_primes).all()
     # no duplicate undirected edges (pair sums are distinct by construction)
     keys = g.edge_p.astype(np.int64) * 10**6 + g.edge_q
     assert np.unique(keys).size == g.num_edges
@@ -350,7 +360,7 @@ def test_selection_frequencies_3sigma_large_even(table_1m):
     prob = weights / weights.sum()
     likeliest = np.argsort(prob)[::-1][:6]
     rng = np.random.default_rng(20260808)
-    counts = np.bincount(_pick(d.delta, alpha, rng.random(trials)),
+    counts = np.bincount(_kernel_picks(d, alpha, rng.random(trials)),
                          minlength=d.omega)
     for i in likeliest:
         sigma = math.sqrt(prob[i] * (1 - prob[i]) / trials)
@@ -368,8 +378,22 @@ def test_pick_stable_at_extreme_alpha(table_30k):
     d = decompose(table_30k, 20_000)
     draws = np.linspace(0.0, 1.0, 1001)[1:-1]
     for alpha in (-150.0, 150.0):
-        assert np.isfinite(_cumulative_weights(d.delta, alpha)).all()
-    assert (_pick(d.delta, -150.0, draws) == np.argmin(d.delta)).all()
-    top = d.delta[_pick(d.delta, 150.0, draws)]
+        assert np.array_equal(_kernel_picks(d, alpha, draws),
+                              pick_index(d.delta, alpha, draws))
+    assert (_kernel_picks(d, -150.0, draws) == np.argmin(d.delta)).all()
+    top = d.delta[_kernel_picks(d, 150.0, draws)]
     assert top.mean() == pytest.approx(float(d.delta.max()), rel=0.01)
     assert (top >= 0.9 * d.delta.max()).all()
+
+
+def test_grid_build_memory_stays_bounded(table_1m):
+    # the six grid alphas at one seed to 4000 nodes: about 6 MB with blocks
+    # of 32 even numbers, about 30 MB with whole 256-even chunks
+    tracemalloc.start()
+    try:
+        build_many(table_1m, (0.0, -1.0, -1.4, -1.8, -2.1, -2.5), [1],
+                   target_nodes=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"

@@ -75,12 +75,11 @@ def test_out_of_range_query():
     with pytest.raises(OutOfRange):
         table.is_prime(51)
     with pytest.raises(OutOfRange):
-        table.is_prime_array(np.array([3, 60]))
+        table.is_prime(-1)
 
 
-def test_vectorized_membership_matches_scalar():
+def test_scalar_membership_matches_ordered_primes():
     table = build_table(500)
     values = np.arange(0, 501)
-    vec = table.is_prime_array(values)
     scalar = np.array([table.is_prime(int(v)) for v in values])
-    assert np.array_equal(vec, scalar)
+    assert np.array_equal(scalar, np.isin(values, table.ordered_primes))

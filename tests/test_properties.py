@@ -2,14 +2,18 @@
 derandomized so that tier-1 stays deterministic."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import TinyGraph, newman_r
+from oracles import (TinyGraph, floyd_warshall_stats, newman_r, per_node_clustering,
+                     pick_index)
 
-from goldbachnet import NullModelConfig, build_many, compute_report, sample_gnm
+from goldbachnet import (NullModelConfig, build_many, compute_report, decompose,
+                         metrics, sample_gnm)
+from goldbachnet.netbuild import _picker
 
 ALPHAS = (-math.inf, -2.5, -1.0, 0.0, 0.7, 2.0, math.inf)
 SEEDS = (1, 7, 9, 42, 2**63 + 5)
@@ -51,7 +55,8 @@ def test_construction_is_goldbach_simple_and_prefix_closed(table_2k, alpha, seed
     p, q = g.edge_p.astype(np.int64), g.edge_q.astype(np.int64)
     assert (p + q == 8 + 2 * np.arange(g.num_edges)).all()
     assert (p < q).all()
-    assert table_2k.is_prime_array(p).all() and table_2k.is_prime_array(q).all()
+    assert np.isin(p, table_2k.ordered_primes).all()
+    assert np.isin(q, table_2k.ordered_primes).all()
     assert np.unique(p * table_2k.limit + q).size == g.num_edges
     seen = set()
     for i, pair in enumerate(zip(p.tolist(), q.tolist())):
@@ -66,6 +71,28 @@ def test_construction_is_goldbach_simple_and_prefix_closed(table_2k, alpha, seed
     assert np.array_equal(sub.edge_q, g.edge_q[:m])
     assert np.array_equal(sub.node_count_history, g.node_count_history[:m])
     assert sub.num_nodes >= n_star and (m == 1 or sub.node_count_history[-2] < n_star)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n0=st.integers(4, 49_990).map(lambda i: 2 * i),
+    width=st.integers(1, 32),
+    alpha=st.sampled_from((-math.inf, -150.0, -2.5, 0.0, 1.3, 150.0, math.inf)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_picks_equal_the_per_even_oracle(table_1m, n0, width, alpha, seed):
+    """The block kernel picks what the per-even law picks, bit for bit, for
+    draws of 0, the largest double below 1, 1 itself (the only draw that
+    reaches the total) and random ones."""
+    d = decompose(table_1m, range(n0, n0 + 2 * width, 2))
+    special = np.array([0.0, np.nextafter(1.0, 0.0), 1.0])[:, None]
+    draws = np.vstack([np.broadcast_to(special, (3, width)),
+                       np.random.default_rng(seed).random((4, width))])
+    picks = _picker(d.delta, d.counts)(alpha, draws)
+    first = np.cumsum(d.counts) - d.counts
+    for k, (lo, hi) in enumerate(zip(first, first + d.counts)):
+        assert np.array_equal(picks[:, k] - lo,
+                              pick_index(d.delta[lo:hi], alpha, draws[:, k]))
 
 
 def _pairs(n):
@@ -101,6 +128,30 @@ def test_report_invariant_under_any_relabelling(graph, data):
     for k in c_k:
         assert c_k[k] == pytest.approx(c_k_after[k], rel=0, abs=1e-12)
     assert before == after
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(graph=small_graphs(), rows=st.integers(1, 8))
+def test_report_matches_oracles_in_any_row_blocks(graph, rows):
+    """d and p(j) equal Floyd-Warshall, C and C(k) the per-node count, and
+    the paper convention is standard times (k-1)/(k+1) in every degree bin,
+    whatever the rows per block of the triangle count."""
+    n, edges = graph
+    with mock.patch.object(metrics, "_TRIANGLE_ROWS", rows):
+        report = compute_report(TinyGraph(n, edges))
+        paper = compute_report(TinyGraph(n, edges), "paper").C_by_degree
+    d, p_of_j, _, _ = floyd_warshall_stats(n, edges)
+    assert report.d == pytest.approx(d, rel=0, abs=1e-12)
+    assert report.p_of_j.keys() == p_of_j.keys()
+    for j in p_of_j:
+        assert report.p_of_j[j] == pytest.approx(p_of_j[j], rel=0, abs=1e-12)
+    c_i = per_node_clustering(n, edges)
+    deg = np.bincount(np.ravel(edges), minlength=n)
+    assert report.C == pytest.approx(c_i.mean(), rel=0, abs=1e-12)
+    assert report.C_by_degree.keys() == paper.keys() == set(deg.tolist())
+    for k, c_k in report.C_by_degree.items():
+        assert c_k == pytest.approx(c_i[deg == k].mean(), rel=0, abs=1e-12)
+        assert paper[k] == pytest.approx(c_k * (k - 1) / (k + 1), rel=0, abs=1e-12)
 
 
 @st.composite
