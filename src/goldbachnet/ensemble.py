@@ -9,13 +9,12 @@ snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .baseline import NullModelConfig, baseline_report
 from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
-from .netbuild import build_many, check_run
+from .netbuild import _build_rows, _share_table, build_many, check_run
 from .primes import build_table
 
 SEED_RULE = (
@@ -196,55 +195,55 @@ class EnsembleResult:
         }
 
 
-def _measure(spec, row, graph):
-    """(report, matched baseline report) per snapshot of one row; None if unreached."""
+def _measure(spec, row, si, sub):
+    """(report, matched baseline report) of snapshot ``si`` of one row."""
     alpha_index, realization = divmod(row, spec.realizations)
-    measured = []
-    for si, n_star in enumerate(spec.snapshot_nodes):
-        sub = graph.snapshot_at(n_star)
-        if sub is None:
-            measured.append(None)
-            continue
-        seed = baseline_seed(spec.master_seed, alpha_index, realization, si)
-        measured.append((
-            compute_report(sub, spec.clustering),
+    seed = baseline_seed(spec.master_seed, alpha_index, realization, si)
+    return (compute_report(sub, spec.clustering),
             baseline_report(NullModelConfig(sub.num_nodes, sub.num_edges, seed),
-                            spec.clustering),
-        ))
-    return measured
+                            spec.clustering))
 
 
 def run_sweep(spec, workers=1):
     """Execute every (alpha, realization) build and aggregate per snapshot.
 
-    One construction pass builds every row of the sweep in this process;
-    the metrics of each (alpha, realization) are then one task, and
-    ``workers`` > 1 spreads those tasks over processes. The result is a
+    One construction pass builds every row, and the metrics of each (row,
+    snapshot) are one task, started as soon as the row reaches it. With
+    ``workers`` > 1, one pool created before construction runs both the
+    construction chunks and the metrics tasks. The result is a
     deterministic function of ``spec`` alone: cells are folded in
     (alpha, snapshot) order, realizations in order within each cell.
     """
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
-    graphs = build_many(build_table(spec.max_even_cap), spec.alphas, seeds,
-                        target_nodes=spec.snapshot_nodes[-1])
-    tasks = (repeat(spec), range(len(graphs)), graphs)
-    if workers > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            measured = list(pool.map(_measure, *tasks))
-    else:
-        measured = list(map(_measure, *tasks))
+    table = build_table(spec.max_even_cap)
+    pool = (ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
+            if workers > 1 else None)
+    measured, exhausted = {}, {}
+    try:
+        for row, si, sub in _build_rows(table, spec.alphas, seeds, None,
+                                        spec.snapshot_nodes, pool):
+            if si == len(spec.snapshot_nodes):
+                exhausted[row] = f"N={sub.num_nodes}, M={sub.num_edges}"
+            elif pool:
+                measured[row, si] = pool.submit(_measure, spec, row, si, sub)
+            else:
+                measured[row, si] = _measure(spec, row, si, sub)
+        if pool:
+            measured = {key: task.result() for key, task in measured.items()}
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
-    cells = []
-    warnings = []
+    cells, warnings = [], []
     for ai, alpha in enumerate(spec.alphas):
         rows = range(ai * len(seeds), (ai + 1) * len(seeds))
         warnings.extend(
             f"alpha={alpha!r}: realization {r - rows[0]} exhausted even numbers at "
-            f"cap {spec.max_even_cap} with N={graphs[r].num_nodes}, "
-            f"M={graphs[r].num_edges}"
-            for r in rows if graphs[r].exhausted
+            f"cap {spec.max_even_cap} with {exhausted[r]}"
+            for r in rows if r in exhausted
         )
         for si, n_star in enumerate(spec.snapshot_nodes):
-            pairs = [measured[r][si] for r in rows if measured[r][si] is not None]
+            pairs = [measured[r, si] for r in rows if (r, si) in measured]
             if pairs:
                 reps, breps = zip(*pairs)
                 cells.append(SweepCell(alpha, n_star, len(pairs), aggregate(reps),

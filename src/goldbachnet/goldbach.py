@@ -56,8 +56,8 @@ def decompose(table, n):
     """Enumerate the prime pairs of an even number, or of a range of them.
 
     For each odd prime p up to half the largest even number, the primes
-    q > p completing a pair are one slice of the ordered primes, confirmed
-    by the membership flags; a stable sort on the even number groups them.
+    q > p completing a pair are one slice of the ordered primes; a stable
+    sort on the even number groups them.
 
     Parameters
     ----------
@@ -95,8 +95,6 @@ def decompose(table, n):
     count = np.maximum(primes.searchsorted(n1 - p, side="right") - lo, 0)
     q = primes[np.repeat(lo - count.cumsum() + count, count) + np.arange(count.sum())]
     p = np.repeat(p, count)
-    keep = table._flags[q]
-    p, q = p[keep], q[keep]
     even = ((p + q - n0) >> 1).astype(np.min_scalar_type(len(evens) - 1))
     order = even.argsort(kind="stable")
     counts = np.bincount(even, minlength=len(evens))

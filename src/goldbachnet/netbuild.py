@@ -9,7 +9,11 @@ distinct sums, and within one number only a single pair is kept.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +21,12 @@ import numpy as np
 from .errors import OutOfRange, SieveExhausted
 from .goldbach import GoldbachPair, decompose
 
-# even numbers per node-counting pass of build_many, and per decompose and
+# even numbers per node-counting pass of _build_rows, and per decompose and
 # pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
 _CHUNK = 256
 _BLOCK = 32
+
+_worker_table = None  # a pool worker's sieve, set by its initializer _share_table
 
 
 def check_run(alpha, stop=None):
@@ -201,7 +207,8 @@ class PrimeGraph:
     def snapshot_at(self, n_star):
         """State at the first moment the node count reached ``n_star``.
 
-        Returns None when the graph never grew that far.
+        Returns None when the graph never grew that far. A snapshot has
+        reached its node count, so it is never flagged ``exhausted``.
         """
         idx = int(np.searchsorted(self.node_count_history, int(n_star), side="left"))
         if idx >= self.num_edges:
@@ -213,7 +220,6 @@ class PrimeGraph:
             self.node_count_history[:m],
             self.alpha,
             self.seed,
-            exhausted=self.exhausted,
         )
 
     def write_edge_list(self, path):
@@ -231,6 +237,105 @@ class PrimeGraph:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _share_table(table):
+    global _worker_table
+    _worker_table = table
+
+
+def _chunk_picks(table, j, size, groups, draws):
+    """Smaller primes picked per ``(alpha, lo, hi)`` group of ``draws`` rows
+    for the ``size`` even numbers from 8 + 2j on; a worker passes no table."""
+    table = _worker_table if table is None else table
+    evens = range(8 + 2 * j, 8 + 2 * (j + size), 2)
+    p = np.empty(draws.shape, dtype=np.int64)
+    for c in range(0, size, _BLOCK):
+        block = slice(c, c + _BLOCK)
+        decomp = decompose(table, evens[block])
+        pick = _picker(decomp.delta, decomp.counts)
+        for alpha, lo, hi in groups:
+            p[lo:hi, block] = decomp.p[pick(alpha, draws[lo:hi, block])]
+    return p
+
+
+def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
+    """Build the alpha-major rows of checked ``alphas`` by int ``seeds``.
+
+    Yields ``(row, k, snapshot)`` when a row first reaches ``marks[k]``, cut
+    at the first crossing; a row stops at the last mark, and rows short of
+    it at the last even number come last, whole, with ``k = len(marks)``
+    (``exhausted`` unless ``max_even`` is set). A ``pool`` set up by
+    ``_share_table(table)`` runs ``_chunk_picks`` with one more chunk in
+    flight than it has workers: chunk uniforms are drawn here, in order,
+    for the rows active at submission; picks of rows since stopped are cut.
+    """
+    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
+            for s in seeds]
+    finite = np.isfinite(alphas)
+    n_seeds, n_rows = len(seeds), len(alphas) * len(seeds)
+    target = marks[-1] if marks else math.inf
+    last_even = table.limit if max_even is None else max_even
+    n_evens = max((last_even - 8) // 2 + 1, 0)
+    # flat (row, prime index) flags, so keys of distinct rows differ
+    seen = np.zeros(n_rows * table.n_primes, dtype=bool)
+    count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
+    empty = np.empty(0, dtype=np.int32)
+    parts = {r: [(empty, empty, empty)] for r in range(n_rows)}  # (p, q, history)
+    active = np.arange(n_rows)
+
+    def graph(r, exhausted=False):
+        return PrimeGraph(*map(np.concatenate, zip(*parts[r])), alphas[r // n_seeds],
+                          seeds[r % n_seeds], exhausted=exhausted)
+
+    def submit(j):
+        size = min(_CHUNK, n_evens - j)
+        row_alpha, row_seed = np.divmod(active, n_seeds)
+        uniforms = np.zeros((n_seeds, size))
+        for i in np.unique(row_seed[finite[row_alpha]]):
+            uniforms[i] = gens[i].random(size)
+        # active rows are alpha-major, so each alpha's rows are one slice
+        bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
+        groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
+        task = (j, size, groups, uniforms[row_seed])
+        return j, size, active, (pool.submit(_chunk_picks, None, *task).result
+                                 if pool else partial(_chunk_picks, table, *task))
+
+    starts = iter(range(0, n_evens, _CHUNK))
+    pending = deque(map(submit, islice(starts, pool._max_workers + 1 if pool else 1)))
+    while active.size and pending:
+        j, size, rows, picks = pending.popleft()
+        p = picks()[np.searchsorted(rows, active)]
+        q = np.arange(8 + 2 * j, 8 + 2 * (j + size), 2) - p
+
+        # an endpoint is new if it is the first occurrence of its key in the
+        # chunk (p before q, edge by edge) and the row has not seen it
+        idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
+        keys = (idx + active[:, None, None] * table.n_primes).ravel()
+        first = np.unique(keys, return_index=True)[1]
+        new = np.zeros(keys.size, dtype=bool)
+        new[first] = ~seen[keys[first]]
+        seen[keys[first]] = True
+        hist = count[active, None] + np.cumsum(
+            new.reshape(idx.shape).sum(axis=2), axis=1)
+
+        done = hist[:, -1] >= target
+        keep = np.where(done, np.argmax(hist >= target, axis=1) + 1, size)
+        # int32 copies, so that the chunk's int64 arrays are freed
+        for a, (r, k) in enumerate(zip(active.tolist(), keep)):
+            parts[r].append(tuple(x[a, :k].astype(np.int32) for x in (p, q, hist)))
+            count[r] = hist[a, k - 1]
+            while reached[r] < len(marks) and count[r] >= marks[reached[r]]:
+                yield r, int(reached[r]), graph(r).snapshot_at(marks[reached[r]])
+                reached[r] += 1
+            if done[a]:
+                del parts[r]  # its last snapshot holds the whole row
+        active = active[~done]
+        if active.size:
+            pending.extend(map(submit, islice(starts, 1)))
+
+    for r in active.tolist():
+        yield r, len(marks), graph(r, exhausted=max_even is None)
+
+
 def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
     """Build one realization per (alpha, seed), sharing the per-even work.
 
@@ -241,15 +346,9 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
     alpha reads the same uniforms of seed i, and +inf and -inf consume
     none.
 
-    Even numbers are processed in chunks of at most ``_CHUNK``. Each block
-    of ``_BLOCK`` even numbers is decomposed in one call, and one ``pick``
-    per alpha selects the pairs of every still-active row of that alpha
-    over the whole block. Node counts are then
-    taken per chunk with array operations: an endpoint is new when it is
-    the first occurrence of its prime within the chunk and the row has not
-    seen that prime before. A row that reaches ``target_nodes`` is cut at
-    the first crossing and leaves the active set at the end of the chunk,
-    so fewer than ``_CHUNK`` even numbers are decomposed past the last stop.
+    One inline ``_build_rows`` pass builds every row; a row that reaches
+    ``target_nodes`` is cut at the first crossing, and fewer than ``_CHUNK``
+    even numbers are decomposed past the last stop.
 
     Parameters
     ----------
@@ -275,67 +374,10 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
             f"max_even={max_even} needs a sieve up to it, "
             f"table stops at {table.limit}"
         )
-
     seeds = [int(s) for s in seeds]
-    gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
-            for s in seeds]
-    finite = np.isfinite(alphas)
-    n_seeds, n_rows = len(seeds), len(alphas) * len(seeds)
-    target = target_nodes if target_nodes is not None else math.inf
-    last_even = table.limit if max_even is None else max_even
-    n_evens = max((last_even - 8) // 2 + 1, 0)
-    # flat (row, prime index) flags, so keys of distinct rows differ
-    seen = np.zeros(n_rows * table.n_primes, dtype=bool)
-    count = np.zeros(n_rows, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int32)
-    parts = {r: [(empty, empty, empty)] for r in range(n_rows)}  # (p, q, history)
-    active = np.arange(n_rows)
-
-    for j in range(0, n_evens, _CHUNK):
-        if not active.size:
-            break
-        evens = np.arange(8 + 2 * j, 8 + 2 * min(j + _CHUNK, n_evens), 2)
-        row_alpha, row_seed = np.divmod(active, n_seeds)
-        uniforms = np.zeros((n_seeds, evens.size))
-        for i in np.unique(row_seed[finite[row_alpha]]):
-            uniforms[i] = gens[i].random(evens.size)
-        draws = uniforms[row_seed]
-        # active rows are alpha-major, so each alpha's rows are one slice
-        bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
-        groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
-        p = np.empty((active.size, evens.size), dtype=np.int64)
-        for c in range(0, evens.size, _BLOCK):
-            block = slice(c, c + _BLOCK)
-            decomp = decompose(table, range(evens[c], evens[block][-1] + 1, 2))
-            pick = _picker(decomp.delta, decomp.counts)
-            for alpha, lo, hi in groups:
-                p[lo:hi, block] = decomp.p[pick(alpha, draws[lo:hi, block])]
-        q = evens - p
-
-        # an endpoint is new if it is the first occurrence of its key in the
-        # chunk (p before q, edge by edge) and the row has not seen it
-        idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
-        keys = (idx + active[:, None, None] * table.n_primes).ravel()
-        first = np.unique(keys, return_index=True)[1]
-        new = np.zeros(keys.size, dtype=bool)
-        new[first] = ~seen[keys[first]]
-        seen[keys[first]] = True
-        hist = count[active, None] + np.cumsum(
-            new.reshape(idx.shape).sum(axis=2), axis=1)
-
-        reached = hist[:, -1] >= target
-        keep = np.where(reached, np.argmax(hist >= target, axis=1) + 1, evens.size)
-        # int32 copies, so that a row's parts are freed once it is concatenated
-        for a, (r, k) in enumerate(zip(active, keep)):
-            parts[r].append(tuple(x[a, :k].astype(np.int32) for x in (p, q, hist)))
-            count[r] = hist[a, k - 1]
-        active = active[~reached]
-
-    exhausted = bool(active.size) and max_even is None
-    return [PrimeGraph(*map(np.concatenate, zip(*parts.pop(r))),
-                       alphas[r // n_seeds], seeds[r % n_seeds],
-                       exhausted=exhausted and r in active)
-            for r in range(n_rows)]
+    marks = () if target_nodes is None else (target_nodes,)
+    rows = _build_rows(table, alphas, seeds, max_even, marks)
+    return [graph for _, _, graph in sorted(rows, key=itemgetter(0))]
 
 
 def build(cfg, table):

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from goldbachnet import (
+    EnsembleResult,
     MetricsReport,
+    NullModelConfig,
+    SweepCell,
     SweepSpec,
     aggregate,
+    baseline_report,
+    baseline_seed,
+    build_many,
+    build_table,
     compute_report,
     growth_curves,
+    realization_seed,
     run_sweep,
 )
+from goldbachnet.ensemble import SEED_RULE
 from goldbachnet.metrics import MetricsReport as MR
 
 
@@ -121,6 +130,51 @@ def test_run_sweep_parallel_matches_sequential():
         assert [w.split(" exhausted")[0] for w in result.warnings] == [
             "alpha=0.0: realization 2", "alpha=-inf: realization 0",
             "alpha=-inf: realization 1", "alpha=-inf: realization 2"]
+
+
+def _reference_sweep(spec):
+    """run_sweep's result folded from build_many, snapshot_at and one report
+    pair per reached (row, snapshot), independently of the pool."""
+    seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
+    graphs = build_many(build_table(spec.max_even_cap), spec.alphas, seeds,
+                        target_nodes=spec.snapshot_nodes[-1])
+    cells, warnings = [], []
+    for ai, alpha in enumerate(spec.alphas):
+        row = graphs[ai * len(seeds):(ai + 1) * len(seeds)]
+        warnings += [f"alpha={alpha!r}: realization {i} exhausted even numbers at cap "
+                     f"{spec.max_even_cap} with N={g.num_nodes}, M={g.num_edges}"
+                     for i, g in enumerate(row) if g.exhausted]
+        for si, n_star in enumerate(spec.snapshot_nodes):
+            reps, breps = [], []
+            for i, sub in enumerate(g.snapshot_at(n_star) for g in row):
+                if sub is not None:
+                    seed = baseline_seed(spec.master_seed, ai, i, si)
+                    reps.append(compute_report(sub, spec.clustering))
+                    breps.append(baseline_report(
+                        NullModelConfig(sub.num_nodes, sub.num_edges, seed),
+                        spec.clustering))
+            cells.append(SweepCell(alpha, n_star, len(reps),
+                                   aggregate(reps) if reps else None,
+                                   aggregate(breps) if reps else None))
+    return EnsembleResult(spec, SEED_RULE, cells, warnings)
+
+
+def test_run_sweep_with_look_ahead_matches_reference():
+    import json
+
+    # under the 12000 cap -inf never reaches 800 nodes; +inf and 0.7 stop in
+    # 256-even chunks 11 to 13, -2.5 in chunks 22 and 23, so pooled sweeps
+    # draw chunks for rows that stop while they are in flight, and the rows
+    # still active are not the leading ones
+    spec = SweepSpec(alphas=(math.inf, 0.7, -2.5, -math.inf),
+                     snapshot_nodes=(100, 400, 800), realizations=2,
+                     master_seed=17, max_even_cap=12_000)
+    reference = json.dumps(_reference_sweep(spec).to_json_dict())
+    for workers in (1, 2, 3):
+        assert json.dumps(run_sweep(spec, workers=workers).to_json_dict()) == reference
+    doc = json.loads(reference)
+    assert [c["n_realizations"] for c in doc["cells"]] == [2] * 9 + [2, 2, 0]
+    assert len(doc["warnings"]) == 2
 
 
 def test_run_sweep_absent_cells_and_warnings():

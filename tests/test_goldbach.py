@@ -1,10 +1,13 @@
 import math
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from goldbachnet import build_many, decompose
+from goldbachnet import build_many, cli, decompose, ensemble
 from goldbachnet.errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
+from goldbachnet.netbuild import _build_rows, _share_table
 from goldbachnet.primes import PrimeTable, build_table
 
 from oracles import brute_force_pairs, trial_division_primes
@@ -103,10 +106,13 @@ def test_range_validation(table_2k):
         decompose(table_2k, range(1990, 2010, 2))
 
 
+def hollow_table():
+    """Doctored table without any primes: the guard must fire, not skip."""
+    return PrimeTable(100, np.empty(0, dtype=np.int64), np.zeros(101, dtype=bool))
+
+
 def test_undecomposable_aborts_loudly():
-    # doctored table with no primes marked: the guard must fire, not skip
-    real = build_table(100)
-    hollow = PrimeTable(100, real.ordered_primes, np.zeros(101, dtype=bool))
+    hollow = hollow_table()
     with pytest.raises(UndecomposableEven):
         decompose(hollow, 20)
     with pytest.raises(UndecomposableEven, match="found for 8$"):
@@ -114,13 +120,35 @@ def test_undecomposable_aborts_loudly():
 
 
 def test_undecomposable_names_the_first_even_of_a_block():
-    # 7 unmarked as a partner: 10 = 3 + 7 and 12 = 5 + 7 lose their only
+    # 7 left out of the primes: 10 = 3 + 7 and 12 = 5 + 7 lose their only
     # pair, 8 = 3 + 5 keeps it
     real = build_table(100)
-    flags = np.isin(np.arange(101), real.ordered_primes) & (np.arange(101) != 7)
-    holed = PrimeTable(100, real.ordered_primes, flags)
+    primes = real.ordered_primes[real.ordered_primes != 7]
+    holed = PrimeTable(100, primes, np.isin(np.arange(101), primes))
     with pytest.raises(UndecomposableEven, match="found for 12$"):
         decompose(holed, range(12, 42, 2))
     with pytest.raises(UndecomposableEven, match="found for 10$"):
         build_many(holed, (0.0, -math.inf), [1, 2], max_even=40)
     assert [(a, b) for a, b, _ in decompose(holed, 8).pairs] == [(3, 5)]
+
+
+def test_undecomposable_in_a_chunk_task_reaches_the_caller():
+    hollow = hollow_table()
+    pool = ProcessPoolExecutor(2, initializer=_share_table, initargs=(hollow,))
+    try:
+        with pytest.raises(UndecomposableEven, match="^no prime pair p < q found for 8$"):
+            list(_build_rows(hollow, [0.0, -math.inf], [1, 2], 40, (), pool))
+    finally:
+        closer = threading.Thread(target=pool.shutdown, kwargs={"cancel_futures": True})
+        closer.start()
+        closer.join(timeout=60)
+    assert not closer.is_alive()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_undecomposable_sweep_exits_3(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setattr(ensemble, "build_table", lambda limit: hollow_table())
+    rc = cli.main(["sweep", "--alphas", "0,-1.8", "--snapshots", "50",
+                   "--realizations", "2", "--workers", workers, "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: no prime pair p < q found for 8\n"

@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, decompose,
                          select_pair)
 from goldbachnet.errors import OutOfRange, SieveExhausted
-from goldbachnet.netbuild import _picker
+from goldbachnet.netbuild import _build_rows, _chunk_picks, _picker, _share_table
 
 from oracles import pick_index
 
@@ -239,6 +242,119 @@ def test_build_many_alphas_partial_flags_only_exhausted(table_2k):
     flags = [g.exhausted for g in graphs]
     assert flags == [not reached for _, _, reached in references]
     assert flags == [True] * 6 + [False, True, False] + [False] * 3
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """Process pool for ``_build_rows`` that notes the row count of each
+    chunk task it is given, in submission order."""
+
+    def __init__(self, table, workers):
+        super().__init__(workers, initializer=_share_table, initargs=(table,))
+        self.chunk_rows = []
+
+    def submit(self, fn, *args):
+        if fn is _chunk_picks:  # args: table, j, size, groups, draws
+            self.chunk_rows.append(len(args[4]))
+        return super().submit(fn, *args)
+
+
+def streamed(table, alphas, seeds, marks, max_even=None, pool=None):
+    """``{(row, k): graph}`` of everything ``_build_rows`` yields."""
+    rows = _build_rows(table, [float(a) for a in alphas], [int(s) for s in seeds],
+                       max_even, marks, pool)
+    got = {}
+    for r, k, g in rows:
+        assert (r, k) not in got
+        got[int(r), k] = g
+    return got
+
+
+def assert_streams_build_many(table, alphas, seeds, marks, max_even=None, pool=None):
+    """Each (row, k) yields ``build_many(...)[row].snapshot_at(marks[k])``
+    bit for bit, and rows short of the last mark come whole after it."""
+    stop = {"max_even": max_even} if max_even else {"target_nodes": marks[-1]}
+    expected = {}
+    for r, g in enumerate(build_many(table, alphas, seeds, **stop)):
+        for k, mark in enumerate(marks):
+            if g.snapshot_at(mark) is not None:
+                expected[r, k] = g.snapshot_at(mark)
+        if g.exhausted or max_even:
+            expected[r, len(marks)] = g
+    got = streamed(table, alphas, seeds, marks, max_even, pool)
+    assert sorted(got) == sorted(expected)
+    _assert_same_graphs([got[key] for key in sorted(got)],
+                        [expected[key] for key in sorted(expected)])
+    return got
+
+
+# (sieve, alphas, seeds, marks, max_even)
+STREAM_CASES = {
+    "exhausting-2000-cap": ("table_2k", MIXED_ALPHAS, [7, 9, 4], (50, 150, 285), None),
+    "one-seed": ("table_30k", MIXED_ALPHAS, [9], (2, 74, 150, 600), None),
+    "twenty-seeds": ("table_30k", (-INF, 0.0), list(range(20)), (100, 400), None),
+    "max-even-stop": ("table_30k", MIXED_ALPHAS, [3, 14, 15], (), 8400),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_rows_equal_build_many_snapshots(request, case, workers):
+    name, alphas, seeds, marks, max_even = STREAM_CASES[case]
+    table = request.getfixturevalue(name)
+    if workers == 1:
+        assert_streams_build_many(table, alphas, seeds, marks, max_even)
+        return
+    with RecordingPool(table, workers) as pool:
+        assert_streams_build_many(table, alphas, seeds, marks, max_even, pool)
+    assert pool.chunk_rows
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_look_ahead_drops_rows_stopped_in_flight(table_30k, workers):
+    # below the 30000 bound -inf never reaches 1780 nodes; the other rows stop
+    # in 256-even chunks 29 to 31 and 58, with workers + 1 chunks in flight;
+    # the rows that stop first lead, so the rows still active are not a prefix
+    alphas, seeds, marks = MIXED_ALPHAS[::-1], [9, 1, 3], (150, 600, 1780)
+    with RecordingPool(table_30k, workers) as pool:
+        got = assert_streams_build_many(table_30k, alphas, seeds, marks, pool=pool)
+    last = len(marks) - 1
+    stops = [(got[r, last].num_edges - 1) // 256 if (r, last) in got else INF
+             for r in range(len(alphas) * len(seeds))]
+    assert stops.count(INF) == len(seeds)
+    assert sorted(set(stops)) == [29, 31, 58, INF]
+    # chunk c is drawn for the rows active after chunk c - workers - 1,
+    # then cut to the rows still active when it comes back
+    assert pool.chunk_rows == [sum(s >= c - workers for s in stops)
+                               for c in range(len(pool.chunk_rows))]
+    assert len(pool.chunk_rows) == (30_000 - 8) // 2 // 256 + 1
+    # chunks 30 and 31 were in flight, drawn for them, when rows stopped in 29
+    for c in (30, 31):
+        assert pool.chunk_rows[c] > sum(s >= c for s in stops)
+
+
+@pytest.fixture(scope="module")
+def pool_2k(table_2k):
+    with RecordingPool(table_2k, 2) as pool:
+        yield pool
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    alphas=st.lists(st.sampled_from((-INF, -2.5, 0.0, 0.7, 2.0, INF)), min_size=1,
+                    max_size=3, unique=True),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    stop=st.one_of(
+        st.lists(st.integers(2, 290), min_size=1, max_size=4, unique=True).map(
+            lambda marks: (tuple(sorted(marks)), None)),
+        st.integers(4, 1000).map(lambda n: ((), 2 * n)),
+    ),
+)
+def test_pooled_rows_equal_build_many_snapshots(table_2k, pool_2k, alphas, seeds, stop):
+    """Pooled construction streams what build_many and snapshot_at give, for
+    any alphas, seeds, marks (-inf and -2.5 rows exhaust the 2000 bound
+    before 285 nodes) or max_even stop."""
+    marks, max_even = stop
+    assert_streams_build_many(table_2k, alphas, seeds, marks, max_even, pool_2k)
 
 
 def test_graphs_store_int32_and_derive_source_evens(table_2k):
