@@ -39,7 +39,6 @@ from .netbuild import (
     PrimeGraph,
     build,
     build_many,
-    select_pair,
 )
 from .primes import PrimeTable, build_table
 
@@ -75,6 +74,5 @@ __all__ = [
     "realization_seed",
     "run_sweep",
     "sample_gnm",
-    "select_pair",
     "shortest_distance_stats",
 ]

@@ -142,17 +142,6 @@ def _cmd_build(args, argv):
     return 0
 
 
-def _sweep_spec(args):
-    return SweepSpec(
-        alphas=args.alphas,
-        snapshot_nodes=args.snapshots,
-        realizations=args.realizations,
-        master_seed=args.seed,
-        max_even_cap=args.max_even_cap,
-        clustering=args.clustering,
-    )
-
-
 def _cells_csv_rows(result):
     rows = []
     for cell in result.cells:
@@ -177,7 +166,14 @@ def _cells_csv_rows(result):
 
 def _cmd_sweep(args, argv):
     started = time.time()
-    spec = _sweep_spec(args)
+    spec = SweepSpec(
+        alphas=args.alphas,
+        snapshot_nodes=args.snapshots,
+        realizations=args.realizations,
+        master_seed=args.seed,
+        max_even_cap=args.max_even_cap,
+        clustering=args.clustering,
+    )
     result = run_sweep(spec, workers=args.workers)
 
     out = Path(args.out)

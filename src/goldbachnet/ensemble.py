@@ -214,6 +214,8 @@ def run_sweep(spec, workers=1):
     deterministic function of ``spec`` alone: cells are folded in
     (alpha, snapshot) order, realizations in order within each cell.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
     table = build_table(spec.max_even_cap)
     pool = (ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))

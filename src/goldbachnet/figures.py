@@ -82,7 +82,7 @@ def _scalar_vs_snapshot(result, field, side="network"):
     return Table(header, rows)
 
 
-def _scalar_vs_alpha(result, fields, snap=None, side="network"):
+def _scalar_vs_alpha(result, fields, snap=None):
     """Rows of (alpha, mean/std per field) at one snapshot, or per N."""
     spec = result.spec
     snaps = [snap] if snap is not None else list(spec.snapshot_nodes)
@@ -96,8 +96,7 @@ def _scalar_vs_alpha(result, fields, snap=None, side="network"):
         row = [alpha_label(a)]
         for field in fields:
             for s in snaps:
-                cell = result.cell(a, s)
-                agg = getattr(cell, side)
+                agg = result.cell(a, s).network
                 if agg is None:
                     row += [None, None]
                 else:
@@ -107,9 +106,11 @@ def _scalar_vs_alpha(result, fields, snap=None, side="network"):
     return Table(header, rows)
 
 
-def _distribution_table(result, name, snap, x_name, zero_fill, with_counts=False):
-    """Per-alpha columns of one distribution over the union of bins."""
+def _distribution_table(result, name, snap, x_name, zero_fill):
+    """Per-alpha columns of one distribution over the union of bins, each
+    mean followed by its bin's occupancy count unless ``zero_fill``."""
     spec = result.spec
+    with_counts = not zero_fill
     bins = set()
     for a in spec.alphas:
         cell = result.cell(a, snap)
@@ -224,6 +225,6 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
         }
     if figure_id == 9:
         return {"C_of_k": _distribution_table(result, "C_by_degree", snap, "k",
-                                              zero_fill=False, with_counts=True)}
+                                              zero_fill=False)}
     # figure 10
     return {"r_vs_alpha": _scalar_vs_alpha(result, ["r"], snap=snap)}

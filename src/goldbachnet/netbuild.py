@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OutOfRange, SieveExhausted
-from .goldbach import GoldbachPair, decompose
+from .goldbach import decompose
 
 # even numbers per node-counting pass of _build_rows, and per decompose and
 # pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
@@ -29,8 +29,8 @@ _BLOCK = 32
 _worker_table = None  # a pool worker's sieve, set by its initializer _share_table
 
 
-def check_run(alpha, stop=None):
-    """Validate a spread exponent and, if given, a stop rule; return float alpha.
+def check_run(alpha, stop):
+    """Validate a spread exponent and a stop rule; return float alpha.
 
     ``stop`` is ``(max_even, target_nodes)``, exactly one of them set:
     process every even number up to and including ``max_even``, or stop
@@ -39,8 +39,6 @@ def check_run(alpha, stop=None):
     alpha = float(alpha)
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
-    if stop is None:
-        return alpha
     max_even, target_nodes = stop
     if (max_even is None) == (target_nodes is None):
         raise ValueError("set exactly one of max_even / target_nodes")
@@ -86,30 +84,6 @@ def _picker(delta, counts):
         return first + np.minimum(count, last)
 
     return pick
-
-
-def select_pair(decomp, alpha, rng_draw):
-    """Pick one pair of ``decomp`` from a single uniform draw.
-
-    The one-draw case of the selection ``build_many`` makes for every even
-    number (see ``_picker``); for alpha = +inf (-inf) the draw is ignored.
-
-    Parameters
-    ----------
-    decomp : Decomposition of one even number
-    alpha : float
-        Spread exponent; +inf and -inf are allowed, NaN is not.
-    rng_draw : float
-        Uniform variate in [0, 1).
-
-    Returns
-    -------
-    GoldbachPair
-    """
-    alpha = check_run(alpha)
-    pick = _picker(decomp.delta, decomp.counts)
-    i = int(pick(alpha, np.array([[float(rng_draw)]]))[0, 0])
-    return GoldbachPair(int(decomp.p[i]), int(decomp.q[i]), int(decomp.delta[i]))
 
 
 @dataclass(frozen=True)

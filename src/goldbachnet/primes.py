@@ -1,25 +1,22 @@
-"""Prime sieving and membership queries up to a fixed bound."""
+"""Prime sieving up to a fixed bound."""
 
 import numpy as np
 
-from .errors import InvalidBound, OutOfRange
+from .errors import InvalidBound
 
 
 class PrimeTable:
-    """Primes up to ``limit``, with O(1) membership tests.
+    """The primes up to ``limit``, in ascending order.
 
-    Membership is stored as one bool flag per integer, so a query is a
-    single gather; a table covering 10**6 costs ~1 MB plus the ordered
-    prime array. Instances are immutable after construction and safe to
-    share across workers.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
-    __slots__ = ("limit", "ordered_primes", "_flags")
+    __slots__ = ("limit", "ordered_primes")
 
-    def __init__(self, limit, ordered_primes, flags):
+    def __init__(self, limit, ordered_primes):
         self.limit = int(limit)
         self.ordered_primes = ordered_primes
-        self._flags = flags
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit}, n_primes={self.n_primes})"
@@ -27,16 +24,6 @@ class PrimeTable:
     @property
     def n_primes(self):
         return int(self.ordered_primes.size)
-
-    def is_prime(self, n):
-        """True iff ``n`` is prime. ``n`` must lie in [0, limit]."""
-        n = int(n)
-        if n < 0 or n > self.limit:
-            raise OutOfRange(f"{n} is outside the sieve range [0, {self.limit}]")
-        return bool(self._flags[n])
-
-    def __contains__(self, n):
-        return self.is_prime(n)
 
 
 def build_table(limit):
@@ -59,6 +46,4 @@ def build_table(limit):
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    ordered = np.flatnonzero(flags).astype(np.int64)
-    return PrimeTable(limit, ordered, flags)
-
+    return PrimeTable(limit, np.flatnonzero(flags).astype(np.int64))

@@ -22,12 +22,12 @@ from goldbachnet import (
     growth_curves,
     realization_seed,
     run_sweep,
-    select_pair,
     shortest_distance_stats,
     clustering,
     SweepSpec,
 )
 from goldbachnet.cli import main as cli_main
+from goldbachnet.netbuild import _picker
 
 from oracles import (
     TinyGraph,
@@ -183,9 +183,9 @@ def test_criterion_03_selection_law(table_2k):
     d = decompose(table_2k, 24)
     rng = np.random.default_rng(MASTER_SEED)
     trials = 100_000
-    counts = {5: 0, 7: 0, 11: 0}
-    for u in rng.random(trials):
-        counts[select_pair(d, 1.0, float(u)).p] += 1
+    # one block-kernel call: each draw picks one pair of the single even 24
+    picks = _picker(d.delta, d.counts)(1.0, rng.random(trials)[:, None])[:, 0]
+    counts = dict(zip(d.p.tolist(), np.bincount(picks, minlength=d.omega)))
     for p, prob in ((5, 14 / 26), (7, 10 / 26), (11, 2 / 26)):
         sigma = math.sqrt(prob * (1 - prob) / trials)
         observed = counts[p] / trials

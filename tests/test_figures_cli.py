@@ -154,6 +154,16 @@ def test_cli_nan_alpha_exit_2(tmp_path):
         assert main(argv + ["--out", str(tmp_path / argv[0])]) == 2, argv
 
 
+def test_cli_workers_below_one_exit_2(tmp_path, capsys):
+    for argv in (["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "0"],
+                 ["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "-3"],
+                 ["figure", "10", "--snapshots", "50", "--workers", "0"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--max-even-cap", "20000", "--out", str(out)]) == 2, argv
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--alphas", "0,1", "--snapshots", "40,60",

@@ -108,7 +108,7 @@ def test_range_validation(table_2k):
 
 def hollow_table():
     """Doctored table without any primes: the guard must fire, not skip."""
-    return PrimeTable(100, np.empty(0, dtype=np.int64), np.zeros(101, dtype=bool))
+    return PrimeTable(100, np.empty(0, dtype=np.int64))
 
 
 def test_undecomposable_aborts_loudly():
@@ -124,7 +124,7 @@ def test_undecomposable_names_the_first_even_of_a_block():
     # pair, 8 = 3 + 5 keeps it
     real = build_table(100)
     primes = real.ordered_primes[real.ordered_primes != 7]
-    holed = PrimeTable(100, primes, np.isin(np.arange(101), primes))
+    holed = PrimeTable(100, primes)
     with pytest.raises(UndecomposableEven, match="found for 12$"):
         decompose(holed, range(12, 42, 2))
     with pytest.raises(UndecomposableEven, match="found for 10$"):

@@ -4,11 +4,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, decompose,
-                         select_pair)
+from goldbachnet import BuildConfig, PrimeGraph, build, build_many, decompose
 from goldbachnet.errors import OutOfRange, SieveExhausted
 from goldbachnet.netbuild import _build_rows, _chunk_picks, _picker, _share_table
 
@@ -22,34 +21,25 @@ def _kernel_picks(d, alpha, draws):
     return _picker(d.delta, d.counts)(alpha, draws[:, None])[:, 0]
 
 
-def test_select_pair_slots_n24(table_2k):
+def test_kernel_slots_n24(table_2k):
     d = decompose(table_2k, 24)
-    # cumulative weights at alpha=1: (14, 24, 26) / 26
-    assert select_pair(d, 1.0, 0.0).p == 5
-    assert select_pair(d, 1.0, 14 / 26 - 1e-9).p == 5
-    assert select_pair(d, 1.0, 14 / 26 + 1e-9).p == 7
-    assert select_pair(d, 1.0, 24 / 26 + 1e-9).p == 11
-    assert select_pair(d, 1.0, 0.999999).p == 11
-    assert select_pair(d, 1.0, 1.0).p == 11  # a draw at the total: last pair
+    # pairs (5, 19), (7, 17), (11, 13); cumulative weights at alpha=1:
+    # (14, 24, 26) / 26
+    draws = np.array([0.0, 14 / 26 - 1e-9, 14 / 26 + 1e-9, 24 / 26 + 1e-9, 0.999999,
+                      1.0])  # a draw at the total: last pair
+    assert _kernel_picks(d, 1.0, draws).tolist() == [0, 0, 1, 2, 2, 2]
 
 
-def test_select_pair_uniform_at_alpha_zero(table_2k):
+def test_kernel_uniform_at_alpha_zero(table_2k):
     d = decompose(table_2k, 24)
-    assert select_pair(d, 0.0, 0.1).p == 5
-    assert select_pair(d, 0.0, 0.5).p == 7
-    assert select_pair(d, 0.0, 0.9).p == 11
+    assert _kernel_picks(d, 0.0, np.array([0.1, 0.5, 0.9])).tolist() == [0, 1, 2]
 
 
-def test_select_pair_infinite_alpha(table_2k):
+def test_kernel_infinite_alpha(table_2k):
     d = decompose(table_2k, 24)
-    assert (select_pair(d, INF, 0.7).p, select_pair(d, INF, 0.7).q) == (5, 19)
-    assert (select_pair(d, -INF, 0.7).p, select_pair(d, -INF, 0.7).q) == (11, 13)
-
-
-def test_select_pair_rejects_nan(table_2k):
-    d = decompose(table_2k, 24)
-    with pytest.raises(ValueError):
-        select_pair(d, float("nan"), 0.5)
+    for alpha, pair in ((INF, (5, 19)), (-INF, (11, 13))):
+        i = _kernel_picks(d, alpha, np.array([0.7]))[0]
+        assert (d.p[i], d.q[i]) == pair
 
 
 def test_selection_frequencies_3sigma(table_2k):
@@ -98,18 +88,6 @@ def test_build_many_matches_individual_builds(table_30k):
         assert np.array_equal(g_joint.edge_p, g_solo.edge_p)
         assert np.array_equal(g_joint.edge_q, g_solo.edge_q)
         assert np.array_equal(g_joint.edge_even, g_solo.edge_even)
-
-
-def test_build_replays_select_pair_stream(table_30k):
-    # the builder must consume the j-th uniform of the seed's stream at the
-    # j-th even number and pick exactly what select_pair picks from it
-    seed, alpha = 777, 1.3
-    g = build(BuildConfig(alpha=alpha, seed=seed, max_even=2000), table_30k)
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    draws = gen.random(4096)
-    for j, n in enumerate(range(8, 2001, 2)):
-        pair = select_pair(decompose(table_30k, n), alpha, float(draws[j]))
-        assert (pair.p, pair.q) == (int(g.edge_p[j]), int(g.edge_q[j]))
 
 
 def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
@@ -338,6 +316,13 @@ def pool_2k(table_2k):
         yield pool
 
 
+# Pinned cases, run whatever else the suite collects: a row stops while later
+# chunks drawn for it are in flight and the rows left are not a prefix of the
+# chunk's rows (the first two), and a row crosses an inner mark mid-chunk
+# (the last two).
+@example(alphas=[INF, -INF], seeds=[1], stop=((150,), None))
+@example(alphas=[2.0, -2.5], seeds=[1, 2], stop=((100, 200), None))
+@example(alphas=[INF, 0.0], seeds=[1], stop=((50, 100), None))
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     alphas=st.lists(st.sampled_from((-INF, -2.5, 0.0, 0.7, 2.0, INF)), min_size=1,
