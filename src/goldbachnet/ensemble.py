@@ -8,13 +8,15 @@ snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from .baseline import NullModelConfig, baseline_report
 from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
-from .netbuild import _build_rows, _share_table, build_many, check_run
+from .netbuild import _build_rows, _share_table, check_run
 from .primes import build_table
 
 SEED_RULE = (
@@ -204,6 +206,22 @@ def _measure(spec, row, si, sub):
                             spec.clustering))
 
 
+@contextmanager
+def _sieve_and_pool(limit, workers):
+    """Check ``workers``, then yield the sieve up to ``limit`` and a pool of
+    ``workers`` processes sharing it, or None for one."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    table = build_table(limit)
+    pool = (ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
+            if workers > 1 else None)
+    try:
+        yield table, pool
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(spec, workers=1):
     """Execute every (alpha, realization) build and aggregate per snapshot.
 
@@ -214,14 +232,9 @@ def run_sweep(spec, workers=1):
     deterministic function of ``spec`` alone: cells are folded in
     (alpha, snapshot) order, realizations in order within each cell.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
-    table = build_table(spec.max_even_cap)
-    pool = (ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
-            if workers > 1 else None)
     measured, exhausted = {}, {}
-    try:
+    with _sieve_and_pool(spec.max_even_cap, workers) as (table, pool):
         for row, si, sub in _build_rows(table, spec.alphas, seeds, None,
                                         spec.snapshot_nodes, pool):
             if si == len(spec.snapshot_nodes):
@@ -232,9 +245,6 @@ def run_sweep(spec, workers=1):
                 measured[row, si] = _measure(spec, row, si, sub)
         if pool:
             measured = {key: task.result() for key, task in measured.items()}
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
 
     cells, warnings = [], []
     for ai, alpha in enumerate(spec.alphas):
@@ -261,33 +271,30 @@ class GrowthCurves:
     """Ensemble mean of the node count as a function of the link count."""
 
     alpha: float
-    realizations: int
-    master_seed: int
     m: np.ndarray
     n_mean: np.ndarray
     n_std: np.ndarray
 
 
-def growth_curves(alpha, max_even, realizations, master_seed, table=None):
-    """Average N(M) growth trajectories over seeded realizations.
+def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
+    """One GrowthCurves per alpha: N(M) averaged over seeded realizations.
 
-    Driving the build by ``max_even`` gives every realization the identical
-    link-count axis M = 1..(max_even - 8)/2 + 1.
+    One construction pass, on a pool when ``workers`` > 1, builds every row
+    to ``max_even``, so M = 1..(max_even - 8)/2 + 1 for all, and keeps only
+    node-count histories; each curve equals that of its alpha alone.
     """
-    if table is None:
-        table = build_table(max(int(max_even), 8))
+    max_even = int(max_even)
+    alphas = [check_run(a, (max_even, None)) for a in np.ravel(alphas)]
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]
-    graphs = build_many(table, alpha, seeds, max_even=int(max_even))
-    hist = np.vstack([g.node_count_history for g in graphs]).astype(np.float64)
-    n_std = (
-        np.std(hist, axis=0, ddof=1) if realizations > 1
-        else np.zeros(hist.shape[1])
-    )
-    return GrowthCurves(
-        alpha=float(alpha),
-        realizations=realizations,
-        master_seed=int(master_seed),
-        m=np.arange(1, hist.shape[1] + 1, dtype=np.int64),
-        n_mean=hist.mean(axis=0),
-        n_std=n_std,
-    )
+    curves = []
+    with _sieve_and_pool(max_even, workers) as (table, pool):
+        rows = _build_rows(table, alphas, seeds, max_even, (), pool)
+        for ai, group in groupby(rows, key=lambda row: row[0] // realizations):
+            hist = np.vstack([g.node_count_history for *_, g in group]).astype(float)
+            n_std = (np.std(hist, axis=0, ddof=1) if realizations > 1
+                     else np.zeros(hist.shape[1]))
+            curves.append(GrowthCurves(alphas[ai], np.arange(1, hist.shape[1] + 1),
+                                       hist.mean(axis=0), n_std))
+    return curves

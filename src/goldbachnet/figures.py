@@ -24,8 +24,9 @@ absent bin there means no data rather than zero clustering.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ensemble import SweepSpec, growth_curves, run_sweep
-from .primes import build_table
 
 DEFAULT_MAX_EVEN_CAP = 1_000_000
 
@@ -149,21 +150,14 @@ def _distribution_table(result, name, snap, x_name, zero_fill):
     return Table(header, rows)
 
 
-def _growth_table(alphas, max_even, realizations, master_seed):
-    table = build_table(max(max_even, 8))
-    curves = [growth_curves(a, max_even, realizations, master_seed, table=table)
-              for a in alphas]
+def _growth_table(alphas, max_even, realizations, master_seed, workers):
+    curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
     header = ["M"]
     for a in alphas:
         lbl = alpha_label(a)
         header += [f"N_mean[alpha={lbl}]", f"N_std[alpha={lbl}]"]
-    rows = []
-    for i in range(curves[0].m.size):
-        row = [int(curves[0].m[i])]
-        for c in curves:
-            row += [float(c.n_mean[i]), float(c.n_std[i])]
-        rows.append(row)
-    return Table(header, rows)
+    cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)]).tolist()
+    return Table(header, [[m, *row] for m, row in zip(curves[0].m.tolist(), cols)])
 
 
 def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
@@ -183,7 +177,8 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
 
     if figure_id == 6:
         max_even = int(max_even) if max_even is not None else preset["max_even"]
-        return {"N_vs_M": _growth_table(alphas, max_even, realizations, master_seed)}
+        return {"N_vs_M": _growth_table(alphas, max_even, realizations, master_seed,
+                                        workers)}
 
     snapshots = tuple(int(s) for s in (snapshots or preset["snapshots"]))
     spec = SweepSpec(

@@ -221,7 +221,7 @@ def _chunk_picks(table, j, size, groups, draws):
     for the ``size`` even numbers from 8 + 2j on; a worker passes no table."""
     table = _worker_table if table is None else table
     evens = range(8 + 2 * j, 8 + 2 * (j + size), 2)
-    p = np.empty(draws.shape, dtype=np.int64)
+    p = np.empty(draws.shape, dtype=np.int32)
     for c in range(0, size, _BLOCK):
         block = slice(c, c + _BLOCK)
         decomp = decompose(table, evens[block])
@@ -231,16 +231,30 @@ def _chunk_picks(table, j, size, groups, draws):
     return p
 
 
+def _new_endpoints(table, seen, rows, j, p):
+    """Count per edge (uint8) of its endpoints new to its row: first
+    occurrences, p before q, of unseen (row, prime) keys; temporaries die here."""
+    q = np.arange(8 + 2 * j, 8 + 2 * (j + p.shape[1]), 2) - p
+    idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
+    keys = (idx + rows[:, None, None] * table.n_primes).ravel()
+    unseen = np.flatnonzero(~seen[keys])
+    first = unseen[np.unique(keys[unseen], return_index=True)[1]]
+    seen[keys[first]] = True
+    return np.bincount(first // 2, minlength=p.size).astype(np.uint8).reshape(p.shape)
+
+
 def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     """Build the alpha-major rows of checked ``alphas`` by int ``seeds``.
 
     Yields ``(row, k, snapshot)`` when a row first reaches ``marks[k]``, cut
     at the first crossing; a row stops at the last mark, and rows short of
-    it at the last even number come last, whole, with ``k = len(marks)``
-    (``exhausted`` unless ``max_even`` is set). A ``pool`` set up by
-    ``_share_table(table)`` runs ``_chunk_picks`` with one more chunk in
-    flight than it has workers: chunk uniforms are drawn here, in order,
-    for the rows active at submission; picks of rows since stopped are cut.
+    it at the last even number come last, whole and in order, with
+    ``k = len(marks)`` (``exhausted`` unless ``max_even`` is set). A ``pool``
+    set up by ``_share_table(table)`` runs ``_chunk_picks`` with one more
+    chunk in flight than it has workers: chunk uniforms are drawn here, in
+    order, for the rows active at submission; picks of rows since stopped
+    are cut. A chunk's record holds every active row: 5 bytes per edge,
+    int32 p and uint8 new endpoints, all dropped when the last row stops.
     """
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
             for s in seeds]
@@ -249,15 +263,16 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     target = marks[-1] if marks else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
-    # flat (row, prime index) flags, so keys of distinct rows differ
     seen = np.zeros(n_rows * table.n_primes, dtype=bool)
     count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
-    empty = np.empty(0, dtype=np.int32)
-    parts = {r: [(empty, empty, empty)] for r in range(n_rows)}  # (p, q, history)
     active = np.arange(n_rows)
+    records = [(active, *np.zeros((2, n_rows, 0), dtype=np.int32))]  # (rows, p, new)
 
     def graph(r, exhausted=False):
-        return PrimeGraph(*map(np.concatenate, zip(*parts[r])), alphas[r // n_seeds],
+        p, new = (np.concatenate([rec[x][rec[0].searchsorted(r)] for rec in records])
+                  for x in (1, 2))
+        q = np.arange(8, 8 + 2 * p.size, 2, dtype=np.int32) - p
+        return PrimeGraph(p, q, np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
                           seeds[r % n_seeds], exhausted=exhausted)
 
     def submit(j):
@@ -270,39 +285,22 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
         bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
         groups = [g for g in zip(alphas, bounds, bounds[1:]) if g[2] > g[1]]
         task = (j, size, groups, uniforms[row_seed])
-        return j, size, active, (pool.submit(_chunk_picks, None, *task).result
-                                 if pool else partial(_chunk_picks, table, *task))
+        return j, active, (pool.submit(_chunk_picks, None, *task).result
+                           if pool else partial(_chunk_picks, table, *task))
 
     starts = iter(range(0, n_evens, _CHUNK))
     pending = deque(map(submit, islice(starts, pool._max_workers + 1 if pool else 1)))
     while active.size and pending:
-        j, size, rows, picks = pending.popleft()
+        j, rows, picks = pending.popleft()
         p = picks()[np.searchsorted(rows, active)]
-        q = np.arange(8 + 2 * j, 8 + 2 * (j + size), 2) - p
-
-        # an endpoint is new if it is the first occurrence of its key in the
-        # chunk (p before q, edge by edge) and the row has not seen it
-        idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
-        keys = (idx + active[:, None, None] * table.n_primes).ravel()
-        first = np.unique(keys, return_index=True)[1]
-        new = np.zeros(keys.size, dtype=bool)
-        new[first] = ~seen[keys[first]]
-        seen[keys[first]] = True
-        hist = count[active, None] + np.cumsum(
-            new.reshape(idx.shape).sum(axis=2), axis=1)
-
-        done = hist[:, -1] >= target
-        keep = np.where(done, np.argmax(hist >= target, axis=1) + 1, size)
-        # int32 copies, so that the chunk's int64 arrays are freed
-        for a, (r, k) in enumerate(zip(active.tolist(), keep)):
-            parts[r].append(tuple(x[a, :k].astype(np.int32) for x in (p, q, hist)))
-            count[r] = hist[a, k - 1]
+        new = _new_endpoints(table, seen, active, j, p)
+        records.append((active, p, new))
+        count[active] += new.sum(axis=1, dtype=np.int64)
+        for r in active.tolist():
             while reached[r] < len(marks) and count[r] >= marks[reached[r]]:
                 yield r, int(reached[r]), graph(r).snapshot_at(marks[reached[r]])
                 reached[r] += 1
-            if done[a]:
-                del parts[r]  # its last snapshot holds the whole row
-        active = active[~done]
+        active = active[count[active] < target]
         if active.size:
             pending.extend(map(submit, islice(starts, 1)))
 

@@ -7,6 +7,7 @@ The growth-law and ratio helpers that criteria 5-8 use are checked first,
 on synthetic sequences of either regime.
 """
 
+import hashlib
 import json
 import math
 
@@ -138,7 +139,22 @@ def alpha2_sweep():
     spec = SweepSpec(alphas=(2.0,), snapshot_nodes=(1000, 4000),
                      realizations=20, master_seed=MASTER_SEED,
                      max_even_cap=1_000_000)
-    return run_sweep(spec)
+    return run_sweep(spec, workers=2)
+
+
+# sha256(json.dumps(result.to_json_dict(), sort_keys=True)) of each
+# full-size sweep; any worker count gives the same bytes
+SWEEP_DIGESTS = {
+    "grid_sweep": "1d4533e78d3307b6f66065a07e50f8a4736f714340d06b2d8386320df4e726d8",
+    "m2_p1_sweep": "f1f3e66397a871bfea1f80bb7aa85037dfd16c027add90b5d04bfc21feef5e9b",
+    "alpha2_sweep": "05847420248797bbed61acfdc543b66adaf019acee2c950171f0d27ab9b5329d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_acceptance_sweeps_match_pinned_digests(request, name):
+    doc = json.dumps(request.getfixturevalue(name).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SWEEP_DIGESTS[name]
 
 
 def test_criterion_01_exactness(table_30k):
@@ -327,8 +343,8 @@ def test_criterion_08_hub_growth(alpha2_sweep, grid_sweep):
 
 
 def test_criterion_09_growth_curves():
-    fast = growth_curves(2.0, 10_000, realizations=20, master_seed=MASTER_SEED)
-    slow = growth_curves(-2.0, 10_000, realizations=20, master_seed=MASTER_SEED)
+    fast, slow = growth_curves((2.0, -2.0), 10_000, realizations=20,
+                               master_seed=MASTER_SEED)
     mask = fast.m >= 100
     below = int(np.sum(fast.n_mean[mask] < slow.n_mean[mask]))
     assert below == 0, f"N(M | alpha=2) < N(M | alpha=-2) at {below} points"

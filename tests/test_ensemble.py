@@ -220,14 +220,29 @@ def test_baseline_matches_snapshot_sizes(table_30k):
 
 
 def test_growth_curves_shape_and_determinism():
-    a = growth_curves(1.0, 2_000, realizations=4, master_seed=9)
-    b = growth_curves(1.0, 2_000, realizations=4, master_seed=9)
+    a, = growth_curves((1.0,), 2_000, realizations=4, master_seed=9)
+    b, = growth_curves((1.0,), 2_000, realizations=4, master_seed=9)
     assert a.m.size == (2_000 - 8) // 2 + 1
     assert np.array_equal(a.n_mean, b.n_mean)
     assert np.array_equal(a.n_std, b.n_std)
     assert (np.diff(a.n_mean) >= 0).all()
-    single = growth_curves(1.0, 500, realizations=1, master_seed=9)
+    single, = growth_curves((1.0,), 500, realizations=1, master_seed=9)
     assert (single.n_std == 0).all()
+    with pytest.raises(ValueError):
+        growth_curves((1.0,), 500, realizations=0, master_seed=9)
+
+
+def test_growth_curves_of_many_alphas_equal_single_alpha_calls():
+    alphas = (math.inf, 2.0, 0.0, -1.3, -math.inf)
+    curves = growth_curves(alphas, 6_000, realizations=3, master_seed=4)
+    assert [c.alpha for c in curves] == list(alphas)
+    for c in curves:
+        alone, = growth_curves((c.alpha,), 6_000, realizations=3, master_seed=4)
+        for name in ("m", "n_mean", "n_std"):
+            x, y = getattr(c, name), getattr(alone, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (c.alpha, name)
+    # the rows differ between alphas, so a mixed-up row would show
+    assert len({c.n_mean.tobytes() for c in curves}) == len(alphas)
 
 
 def test_spec_validation():

@@ -157,11 +157,23 @@ def test_cli_nan_alpha_exit_2(tmp_path):
 def test_cli_workers_below_one_exit_2(tmp_path, capsys):
     for argv in (["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "0"],
                  ["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "-3"],
-                 ["figure", "10", "--snapshots", "50", "--workers", "0"]):
+                 ["figure", "10", "--snapshots", "50", "--workers", "0"],
+                 ["figure", "6", "--max-even", "100", "--workers", "0"]):
         out = tmp_path / argv[0]
         assert main(argv + ["--max-even-cap", "20000", "--out", str(out)]) == 2, argv
         assert "error: workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_figure6_pooled_csv_byte_identical(tmp_path):
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(["figure", "6", "--alphas", "inf,0.5,-2", "--max-even", "3000",
+                     "--realizations", "3", "--seed", "5", "--workers", workers,
+                     "--out", str(out)]) == 0
+        texts.append((out / "fig6" / "N_vs_M.csv").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_cli_sweep_outputs(tmp_path):

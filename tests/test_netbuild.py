@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldbachnet import BuildConfig, PrimeGraph, build, build_many, decompose
+from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, build_table,
+                         decompose)
 from goldbachnet.errors import OutOfRange, SieveExhausted
+from goldbachnet.figures import figure_tables
 from goldbachnet.netbuild import _build_rows, _chunk_picks, _picker, _share_table
 
 from oracles import pick_index
@@ -421,6 +423,13 @@ def test_exhaust_partial_mode(table_2k):
     assert all(int(g.edge_even[-1]) <= table_2k.limit for g in graphs)
 
 
+def test_sieve_below_the_first_even_gives_empty_rows():
+    g, = build_many(build_table(7), 0.0, [1], target_nodes=10)
+    assert g.exhausted and g.num_edges == 0 and g.num_nodes == 0
+    with pytest.raises(SieveExhausted):
+        build(BuildConfig(alpha=0.0, seed=1, target_nodes=10), build_table(7))
+
+
 def test_max_even_beyond_sieve(table_2k):
     with pytest.raises(OutOfRange):
         build(BuildConfig(alpha=0.0, seed=1, max_even=50_000), table_2k)
@@ -498,3 +507,15 @@ def test_grid_build_memory_stays_bounded(table_1m):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_growth_figure_memory_stays_bounded():
+    # 100 rows of 9997 edges in one pass: about 10 MB with 5-byte chunk
+    # records, 16.4 MB with 12-byte ones, 16.6 MB if the 100 graphs are kept
+    tracemalloc.start()
+    try:
+        figure_tables(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
