@@ -10,8 +10,10 @@ from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
 
 print("available presets:")
 for fid, preset in FIGURE_DEFAULTS.items():
-    keys = ", ".join(f"{k}={v}" for k, v in preset.items())
-    print(f"  {fid}: {keys}")
+    stems = ", ".join(preset.get("tables", ["N_vs_M"]))
+    size = (f"N={preset['snapshots']}" if "snapshots" in preset
+            else f"max_even={preset['max_even']}")
+    print(f"  {fid}: {stems}; {size}; alphas={preset['alphas']}")
 
 out = Path("demo_out")
 out.mkdir(exist_ok=True)

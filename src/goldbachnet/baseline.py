@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import InfeasibleNullModel
 from .metrics import compute_report
+from .netbuild import check_seed
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,7 @@ class NullModelConfig:
                 f"m_edges={self.m_edges} outside [0, {max_edges}] "
                 f"for {self.n_nodes} nodes"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 class GnmGraph:

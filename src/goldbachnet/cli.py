@@ -23,8 +23,8 @@ import scipy
 
 from .errors import GoldbachNetError
 from .ensemble import SweepSpec, run_sweep
-from .figures import DEFAULT_MAX_EVEN_CAP, figure_tables
-from .metrics import compute_report
+from .figures import DEFAULT_MAX_EVEN_CAP, FIGURE_DEFAULTS, alpha_label, figure_tables
+from .metrics import CLUSTERING_CONVENTIONS, compute_report
 from .netbuild import BuildConfig, build
 from .primes import build_table
 
@@ -73,16 +73,29 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir, argv, config, master_seed, artifacts, started):
+def _manifest_config(args):
+    """The parsed flags as the manifest records them, alphas as repr strings
+    and without ``--workers``, which changes no output."""
+    skip = ("handler", "subcommand", "workers")
+    config = {key: value for key, value in vars(args).items() if key not in skip}
+    if "alpha" in config:
+        config["alpha"] = repr(config["alpha"])
+    if config.get("alphas") is not None:
+        config["alphas"] = [repr(a) for a in config["alphas"]]
+    config["out"] = str(args.out)
+    return config
+
+
+def _write_manifest(args, argv, artifacts, started):
     doc = {
         "command": ["goldbachnet"] + list(argv),
-        "config": config,
-        "master_seed": int(master_seed),
+        "config": _manifest_config(args),
+        "master_seed": int(args.seed),
         "artifacts": [
             {
                 "path": str(rel),
-                "sha256": _sha256(out_dir / rel),
-                "bytes": (out_dir / rel).stat().st_size,
+                "sha256": _sha256(args.out / rel),
+                "bytes": (args.out / rel).stat().st_size,
             }
             for rel in sorted(artifacts)
         ],
@@ -90,11 +103,10 @@ def _write_manifest(out_dir, argv, config, master_seed, artifacts, started):
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
     }
-    _write_json(out_dir / "manifest.json", doc)
+    _write_json(args.out / "manifest.json", doc)
 
 
-def _cmd_build(args, argv):
-    started = time.time()
+def _cmd_build(args):
     cfg = BuildConfig(
         alpha=args.alpha,
         seed=args.seed,
@@ -106,66 +118,26 @@ def _cmd_build(args, argv):
     graph = build(cfg, table)
     report = compute_report(graph, args.clustering)
 
-    out = Path(args.out)
-    (out / "edges").mkdir(parents=True, exist_ok=True)
-    (out / "distributions").mkdir(exist_ok=True)
-    artifacts = []
-
-    graph.write_edge_list(out / "edges" / "graph.txt")
-    artifacts.append(Path("edges") / "graph.txt")
-
-    doc = {"alpha": repr(cfg.alpha), "seed": cfg.seed}
-    doc.update(report.to_dict())
-    _write_json(out / "report.json", doc)
-    artifacts.append(Path("report.json"))
-
+    (args.out / "edges").mkdir(parents=True, exist_ok=True)
+    (args.out / "distributions").mkdir(exist_ok=True)
+    artifacts = [Path("edges") / "graph.txt", Path("report.json")]
+    graph.write_edge_list(args.out / artifacts[0])
+    _write_json(args.out / artifacts[1],
+                {"alpha": repr(cfg.alpha), "seed": cfg.seed, **report.to_dict()})
     for name, x_name in (("p_of_j", "j"), ("P_of_k", "k"), ("C_by_degree", "k")):
         rel = Path("distributions") / f"{name}.csv"
-        write_csv(out / rel, [x_name, name], report.distribution_csv_rows(name))
+        write_csv(args.out / rel, [x_name, name], report.distribution_csv_rows(name))
         artifacts.append(rel)
 
-    config = {
-        "alpha": repr(cfg.alpha),
-        "max_even": args.max_even,
-        "target_nodes": args.target_nodes,
-        "max_even_cap": args.max_even_cap,
-        "seed": args.seed,
-        "clustering": args.clustering,
-        "out": str(out),
-    }
-    _write_manifest(out, argv, config, args.seed, artifacts, started)
     r_text = "undefined" if report.r is None else f"{report.r:.6g}"
     print(
         f"N={report.n_nodes} M={report.n_edges} d={report.d:.6g} "
         f"C={report.C:.6g} r={r_text}"
     )
-    return 0
+    return artifacts
 
 
-def _cells_csv_rows(result):
-    rows = []
-    for cell in result.cells:
-        for side in ("network", "baseline"):
-            agg = getattr(cell, side)
-            if agg is None:
-                continue
-            for field, st in agg.scalars.items():
-                rows.append(
-                    [
-                        f"{cell.alpha:g}",
-                        cell.snapshot,
-                        side,
-                        field,
-                        st.mean,
-                        st.std,
-                        st.count,
-                    ]
-                )
-    return rows
-
-
-def _cmd_sweep(args, argv):
-    started = time.time()
+def _cmd_sweep(args):
     spec = SweepSpec(
         alphas=args.alphas,
         snapshot_nodes=args.snapshots,
@@ -176,39 +148,31 @@ def _cmd_sweep(args, argv):
     )
     result = run_sweep(spec, workers=args.workers)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     artifacts = [Path("sweep.json")]
-    _write_json(out / "sweep.json", result.to_json_dict())
+    _write_json(args.out / "sweep.json", result.to_json_dict())
     if args.format == "csv":
-        write_csv(
-            out / "cells.csv",
-            ["alpha", "snapshot", "side", "field", "mean", "std", "count"],
-            _cells_csv_rows(result),
-        )
+        rows = []
+        for cell in result.cells:
+            for side in ("network", "baseline"):
+                agg = getattr(cell, side)
+                if agg is not None:
+                    rows += [[alpha_label(cell.alpha), cell.snapshot, side, field,
+                              st.mean, st.std, st.count]
+                             for field, st in agg.scalars.items()]
+        header = ["alpha", "snapshot", "side", "field", "mean", "std", "count"]
+        write_csv(args.out / "cells.csv", header, rows)
         artifacts.append(Path("cells.csv"))
 
-    config = {
-        "alphas": [repr(a) for a in spec.alphas],
-        "snapshots": list(spec.snapshot_nodes),
-        "realizations": spec.realizations,
-        "max_even_cap": spec.max_even_cap,
-        "seed": spec.master_seed,
-        "clustering": spec.clustering,
-        "format": args.format,
-        "out": str(out),
-    }
-    _write_manifest(out, argv, config, spec.master_seed, artifacts, started)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"cells={len(result.cells)} warnings={len(result.warnings)}")
-    return 0
+    return artifacts
 
 
-def _cmd_figure(args, argv):
-    started = time.time()
+def _cmd_figure(args):
     tables = figure_tables(
-        args.figure_id,
+        args.figure,
         alphas=args.alphas,
         snapshots=args.snapshots,
         realizations=args.realizations,
@@ -218,36 +182,21 @@ def _cmd_figure(args, argv):
         clustering=args.clustering,
         workers=args.workers,
     )
-    out = Path(args.out)
-    fig_dir = out / f"fig{args.figure_id}"
-    fig_dir.mkdir(parents=True, exist_ok=True)
+    fig_dir = Path(f"fig{args.figure}")
+    (args.out / fig_dir).mkdir(parents=True, exist_ok=True)
     artifacts = []
     for stem, table in sorted(tables.items()):
-        rel = Path(f"fig{args.figure_id}") / f"{stem}.csv"
-        write_csv(out / rel, table.header, table.rows)
-        artifacts.append(rel)
-
-    config = {
-        "figure": args.figure_id,
-        "alphas": None if args.alphas is None else [repr(a) for a in args.alphas],
-        "snapshots": None if args.snapshots is None else list(args.snapshots),
-        "realizations": args.realizations,
-        "max_even": args.max_even,
-        "max_even_cap": args.max_even_cap,
-        "seed": args.seed,
-        "clustering": args.clustering,
-        "out": str(out),
-    }
-    _write_manifest(out, argv, config, args.seed, artifacts, started)
-    print(f"fig{args.figure_id}: " + ", ".join(sorted(tables)))
-    return 0
+        artifacts.append(fig_dir / f"{stem}.csv")
+        write_csv(args.out / artifacts[-1], table.header, table.rows)
+    print(f"fig{args.figure}: " + ", ".join(sorted(tables)))
+    return artifacts
 
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=1,
                         help="master seed (default 1)")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--clustering", choices=["standard", "paper"],
+    parser.add_argument("--out", type=Path, default="out", help="output directory")
+    parser.add_argument("--clustering", choices=CLUSTERING_CONVENTIONS,
                         default="standard",
                         help="neighbor-pair denominator: k(k-1)/2 or k(k+1)/2")
     parser.add_argument("--max-even-cap", type=int, default=DEFAULT_MAX_EVEN_CAP,
@@ -282,10 +231,10 @@ def make_parser():
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="emit the dataset of one preset (1-10)")
-    p_fig.add_argument("figure_id", type=int, choices=range(1, 11),
+    p_fig.add_argument("figure", type=int, choices=FIGURE_DEFAULTS,
                        metavar="figure_id")
     p_fig.add_argument("--alphas", type=_parse_alpha_list)
-    p_fig.add_argument("--snapshots", type=_parse_int_list)
+    p_fig.add_argument("--snapshots", type=_parse_int_list, help="all presets but 6")
     p_fig.add_argument("--realizations", type=int)
     p_fig.add_argument("--max-even", type=int,
                        help="growth preset only: evens consumed per build")
@@ -321,8 +270,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     args = parser.parse_args(_merge_negative_values(argv))
+    started = time.time()
     try:
-        return args.handler(args, argv)
+        artifacts = args.handler(args)
+        _write_manifest(args, argv, artifacts, started)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

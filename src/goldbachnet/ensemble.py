@@ -16,7 +16,7 @@ import numpy as np
 
 from .baseline import NullModelConfig, baseline_report
 from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
-from .netbuild import _build_rows, _share_table, check_run
+from .netbuild import _build_rows, _share_table, check_run, check_seed
 from .primes import build_table
 
 SEED_RULE = (
@@ -66,8 +66,7 @@ class SweepSpec:
             raise ValueError("realizations must be >= 1")
         if self.max_even_cap < 8 or self.max_even_cap % 2:
             raise ValueError("max_even_cap must be even and >= 8")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        check_seed(self.master_seed, "master_seed")
         if self.clustering not in CLUSTERING_CONVENTIONS:
             raise ValueError(f"unknown clustering convention {self.clustering!r}")
 
@@ -287,6 +286,7 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     alphas = [check_run(a, (max_even, None)) for a in np.ravel(alphas)]
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
+    check_seed(master_seed, "master_seed")
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]
     curves = []
     with _sieve_and_pool(max_even, workers) as (table, pool):

@@ -30,22 +30,36 @@ from .ensemble import SweepSpec, growth_curves, run_sweep
 
 DEFAULT_MAX_EVEN_CAP = 1_000_000
 
+_N_LADDER = (250, 500, 1000, 2000, 4000)
+_ALPHA_GRID = (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0)
+
+# Each preset's tables map a file stem to (kind, *arguments) of _TABLE_KINDS:
+#   "vs_N" (field, side): a row per snapshot N, mean and std per alpha;
+#   "vs_alpha" (fields, last N only): a row per alpha, mean and std per field;
+#   "distribution" (name, bin name, zero_fill): a row per bin at the last N.
 FIGURE_DEFAULTS = {
-    1: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5),
-        "snapshots": (250, 500, 1000, 2000, 4000)},
-    2: {"alphas": (2.0, 0.0, -1.0, -2.0, -2.5), "snapshots": (5000,)},
-    3: {"alphas": (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0),
-        "snapshots": (1000, 2000, 4000)},
-    4: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5),
-        "snapshots": (250, 500, 1000, 2000, 4000)},
-    5: {"alphas": (2.0, -0.1, -0.5, -2.0), "snapshots": (5000,)},
+    1: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5), "snapshots": _N_LADDER,
+        "tables": {"d_vs_N": ("vs_N", "d", "network"),
+                   "dprime_vs_N": ("vs_N", "d", "baseline")}},
+    2: {"alphas": (2.0, 0.0, -1.0, -2.0, -2.5), "snapshots": (5000,),
+        "tables": {"p_of_j": ("distribution", "p_of_j", "j", True)}},
+    3: {"alphas": _ALPHA_GRID, "snapshots": (1000, 2000, 4000),
+        "tables": {"d_vs_alpha": ("vs_alpha", ("d",), False)}},
+    4: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5), "snapshots": _N_LADDER,
+        "tables": {"C_vs_N": ("vs_N", "C", "network"),
+                   "Cprime_vs_N": ("vs_N", "C", "baseline")}},
+    5: {"alphas": (2.0, -0.1, -0.5, -2.0), "snapshots": (5000,),
+        "tables": {"P_of_k": ("distribution", "P_of_k", "k", True)}},
     6: {"alphas": (2.0, 1.0, 0.0, -1.0, -2.0), "max_even": 20_000},
-    7: {"alphas": (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0),
-        "snapshots": (5000,)},
-    8: {"alphas": (2.0, 0.0, -2.5), "snapshots": (250, 500, 1000, 2000, 4000)},
-    9: {"alphas": (-1.0, 0.0, 1.0, 2.0), "snapshots": (5000,)},
+    7: {"alphas": _ALPHA_GRID, "snapshots": (5000,),
+        "tables": {"k_stats_vs_alpha": ("vs_alpha", ("mean_k", "f_k"), True)}},
+    8: {"alphas": (2.0, 0.0, -2.5), "snapshots": _N_LADDER,
+        "tables": {"kmax_vs_N": ("vs_N", "k_max", "network"),
+                   "kmean_vs_N": ("vs_N", "mean_k", "network")}},
+    9: {"alphas": (-1.0, 0.0, 1.0, 2.0), "snapshots": (5000,),
+        "tables": {"C_of_k": ("distribution", "C_by_degree", "k", False)}},
     10: {"alphas": (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
-         "snapshots": (5000,)},
+         "snapshots": (5000,), "tables": {"r_vs_alpha": ("vs_alpha", ("r",), True)}},
 }
 
 
@@ -61,32 +75,39 @@ def alpha_label(alpha):
     return f"{float(alpha):g}"
 
 
-def _scalar_vs_snapshot(result, field, side="network"):
+def _alpha_columns(first, name, stats, alphas):
+    """Header: ``first``, then one ``name_stat[alpha=...]`` per alpha and stat."""
+    return [first] + [f"{name}_{stat}[alpha={alpha_label(a)}]"
+                      for a in alphas for stat in stats]
+
+
+def _mean_std(result, alpha, snap, field, side="network"):
+    """(mean, std) of one scalar in one cell, or (None, None) if it is empty."""
+    agg = getattr(result.cell(alpha, snap), side)
+    if agg is None:
+        return None, None
+    st = agg.scalars[field]
+    return st.mean, st.std
+
+
+def _vs_n(result, field, side):
     """Rows of (N, mean/std per alpha) for one scalar field."""
     spec = result.spec
-    header = ["N"]
-    for a in spec.alphas:
-        lbl = alpha_label(a)
-        header += [f"{field}_mean[alpha={lbl}]", f"{field}_std[alpha={lbl}]"]
+    header = _alpha_columns("N", field, ("mean", "std"), spec.alphas)
     rows = []
     for snap in spec.snapshot_nodes:
         row = [snap]
         for a in spec.alphas:
-            cell = result.cell(a, snap)
-            agg = getattr(cell, side)
-            if agg is None:
-                row += [None, None]
-            else:
-                st = agg.scalars[field]
-                row += [st.mean, st.std]
+            row += _mean_std(result, a, snap, field, side)
         rows.append(row)
     return Table(header, rows)
 
 
-def _scalar_vs_alpha(result, fields, snap=None):
-    """Rows of (alpha, mean/std per field) at one snapshot, or per N."""
+def _vs_alpha(result, fields, last_only):
+    """Rows of (alpha, mean/std per field and N), at the last N only if
+    ``last_only``; columns carry an [N=...] tag when there are several."""
     spec = result.spec
-    snaps = [snap] if snap is not None else list(spec.snapshot_nodes)
+    snaps = spec.snapshot_nodes[-1:] if last_only else spec.snapshot_nodes
     header = ["alpha"]
     for field in fields:
         for s in snaps:
@@ -97,67 +118,38 @@ def _scalar_vs_alpha(result, fields, snap=None):
         row = [alpha_label(a)]
         for field in fields:
             for s in snaps:
-                agg = result.cell(a, s).network
-                if agg is None:
-                    row += [None, None]
-                else:
-                    st = agg.scalars[field]
-                    row += [st.mean, st.std]
+                row += _mean_std(result, a, s, field)
         rows.append(row)
     return Table(header, rows)
 
 
-def _distribution_table(result, name, snap, x_name, zero_fill):
-    """Per-alpha columns of one distribution over the union of bins, each
-    mean followed by its bin's occupancy count unless ``zero_fill``."""
+def _distribution(result, name, x_name, zero_fill):
+    """Per-alpha columns of one distribution at the last snapshot, over the
+    union of bins, each mean followed by its bin's occupancy count unless
+    ``zero_fill``."""
     spec = result.spec
-    with_counts = not zero_fill
-    bins = set()
-    for a in spec.alphas:
-        cell = result.cell(a, snap)
-        if cell.network is not None:
-            bins.update(cell.network.distributions[name])
-    header = [x_name]
-    for a in spec.alphas:
-        lbl = alpha_label(a)
-        header.append(f"{name}_mean[alpha={lbl}]")
-        if with_counts:
-            header.append(f"{name}_count[alpha={lbl}]")
+    cells = [result.cell(a, spec.snapshot_nodes[-1]) for a in spec.alphas]
+    bins = set().union(*(c.network.distributions[name] for c in cells if c.network))
+    stats = ("mean",) if zero_fill else ("mean", "count")
+    header = _alpha_columns(x_name, name, stats, spec.alphas)
     rows = []
     for b in sorted(bins):
         row = [b]
-        for a in spec.alphas:
-            cell = result.cell(a, snap)
-            if cell.network is None:
+        for cell in cells:
+            stat = cell.network.distributions[name].get(b) if cell.network else None
+            if not zero_fill:
+                row += [None, 0] if stat is None else [stat.mean, stat.count]
+            elif cell.network is None:
                 row.append(None)
-                if with_counts:
-                    row.append(0)
-                continue
-            stat = cell.network.distributions[name].get(b)
-            if stat is None:
-                row.append(0.0 if zero_fill else None)
-                if with_counts:
-                    row.append(0)
             else:
-                value = stat.mean
-                if zero_fill:
-                    # absent bins count as probability zero in those runs
-                    value = stat.mean * stat.count / cell.n_realizations
-                row.append(value)
-                if with_counts:
-                    row.append(stat.count)
+                # absent bins count as probability zero in those runs
+                row.append(0.0 if stat is None
+                           else stat.mean * stat.count / cell.n_realizations)
         rows.append(row)
     return Table(header, rows)
 
 
-def _growth_table(alphas, max_even, realizations, master_seed, workers):
-    curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
-    header = ["M"]
-    for a in alphas:
-        lbl = alpha_label(a)
-        header += [f"N_mean[alpha={lbl}]", f"N_std[alpha={lbl}]"]
-    cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)]).tolist()
-    return Table(header, [[m, *row] for m, row in zip(curves[0].m.tolist(), cols)])
+_TABLE_KINDS = {"vs_N": _vs_n, "vs_alpha": _vs_alpha, "distribution": _distribution}
 
 
 def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
@@ -166,60 +158,37 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
     """Tables for one preset, keyed by file stem.
 
     Any of alphas / snapshots / realizations / max_even overrides the
-    preset default; the rest keep their conventional values.
+    preset default; the rest keep their conventional values. Preset 6
+    reads ``max_even`` and no ``snapshots``, the others the reverse;
+    passing the one a preset does not read raises ValueError.
     """
     figure_id = int(figure_id)
     if figure_id not in FIGURE_DEFAULTS:
         raise ValueError(f"figure id must be in 1..10, got {figure_id}")
     preset = FIGURE_DEFAULTS[figure_id]
+    unread, value = (("snapshots", snapshots) if "max_even" in preset
+                     else ("max_even", max_even))
+    if value is not None:
+        raise ValueError(f"figure {figure_id} does not read {unread}")
     alphas = tuple(float(a) for a in (alphas or preset["alphas"]))
     realizations = int(realizations) if realizations is not None else 20
 
-    if figure_id == 6:
+    if "max_even" in preset:
         max_even = int(max_even) if max_even is not None else preset["max_even"]
-        return {"N_vs_M": _growth_table(alphas, max_even, realizations, master_seed,
-                                        workers)}
+        curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
+        cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
+        rows = [[m, *row] for m, row in zip(curves[0].m.tolist(), cols.tolist())]
+        header = _alpha_columns("M", "N", ("mean", "std"), alphas)
+        return {"N_vs_M": Table(header, rows)}
 
-    snapshots = tuple(int(s) for s in (snapshots or preset["snapshots"]))
     spec = SweepSpec(
         alphas=alphas,
-        snapshot_nodes=snapshots,
+        snapshot_nodes=tuple(int(s) for s in (snapshots or preset["snapshots"])),
         realizations=realizations,
         master_seed=master_seed,
         max_even_cap=max_even_cap,
         clustering=clustering,
     )
     result = run_sweep(spec, workers=workers)
-    snap = snapshots[-1]
-
-    if figure_id == 1:
-        return {
-            "d_vs_N": _scalar_vs_snapshot(result, "d"),
-            "dprime_vs_N": _scalar_vs_snapshot(result, "d", side="baseline"),
-        }
-    if figure_id == 2:
-        return {"p_of_j": _distribution_table(result, "p_of_j", snap, "j",
-                                              zero_fill=True)}
-    if figure_id == 3:
-        return {"d_vs_alpha": _scalar_vs_alpha(result, ["d"])}
-    if figure_id == 4:
-        return {
-            "C_vs_N": _scalar_vs_snapshot(result, "C"),
-            "Cprime_vs_N": _scalar_vs_snapshot(result, "C", side="baseline"),
-        }
-    if figure_id == 5:
-        return {"P_of_k": _distribution_table(result, "P_of_k", snap, "k",
-                                              zero_fill=True)}
-    if figure_id == 7:
-        return {"k_stats_vs_alpha": _scalar_vs_alpha(result, ["mean_k", "f_k"],
-                                                     snap=snap)}
-    if figure_id == 8:
-        return {
-            "kmax_vs_N": _scalar_vs_snapshot(result, "k_max"),
-            "kmean_vs_N": _scalar_vs_snapshot(result, "mean_k"),
-        }
-    if figure_id == 9:
-        return {"C_of_k": _distribution_table(result, "C_by_degree", snap, "k",
-                                              zero_fill=False)}
-    # figure 10
-    return {"r_vs_alpha": _scalar_vs_alpha(result, ["r"], snap=snap)}
+    return {stem: _TABLE_KINDS[kind](result, *args)
+            for stem, (kind, *args) in preset["tables"].items()}

@@ -49,6 +49,12 @@ def check_run(alpha, stop):
     return alpha
 
 
+def check_seed(seed, name="seed"):
+    """Raise ValueError unless ``seed`` fits in 64 unsigned bits."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"{name} must fit in 64 unsigned bits")
+
+
 def _picker(delta, counts):
     """Return ``pick(alpha, draws)`` for a block of even numbers.
 
@@ -101,8 +107,7 @@ class BuildConfig:
 
     def __post_init__(self):
         check_run(self.alpha, (self.max_even, self.target_nodes))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 class PrimeGraph:

@@ -389,6 +389,9 @@ PINNED_COMMANDS = {
     "figure9": ["figure", "9", "--alphas", "-1,2", "--snapshots", "400",
                 "--realizations", "2", "--seed", "42",
                 "--max-even-cap", "20000"],
+    **{f"figure{k}": ["figure", str(k), "--alphas", "-2,0,2", "--snapshots", "40,80",
+                      "--realizations", "2", "--seed", "42", "--max-even-cap", "20000"]
+       for k in (1, 2, 3, 4, 5, 7, 8, 10)},
 }
 # SHA-256 of every artifact of PINNED_COMMANDS, recorded with Python 3.11.7,
 # numpy 2.4.6 and scipy 1.17.1. A code change that moves one of them changes
@@ -419,6 +422,44 @@ GOLDEN_DIGESTS = {
     "figure9": {
         "fig9/C_of_k.csv":
             "4bb11e2bf2b0c42afc09ad5be2d9b7f6b2fbca2fda2ed41b3302b63f72f3249e",
+    },
+    "figure1": {
+        "fig1/d_vs_N.csv":
+            "7fb95ccf5d4a4dd539d4ad21254c481dcfe467f9af5dc25b0d308a934276f630",
+        "fig1/dprime_vs_N.csv":
+            "7221bfa3daf5520d5470b102391719f51150e7096b5d0596321af2e4c58ce2bb",
+    },
+    "figure2": {
+        "fig2/p_of_j.csv":
+            "881a05b46ff3248e9afcd469cf02d08f0098097a67fdbf809b03ed64e3078048",
+    },
+    "figure3": {
+        "fig3/d_vs_alpha.csv":
+            "59df5e6c063ddbee7dd80e6cd06609cda6a9162970fb825bedf59d164acd2e31",
+    },
+    "figure4": {
+        "fig4/C_vs_N.csv":
+            "99f01f4282f3538d3d08f3bb492ee4ba47c93112408849f05e31fec9ed6f49b2",
+        "fig4/Cprime_vs_N.csv":
+            "872c20d50ac0872f3098560739a212a7db4c80160b912fb559d1edf093aded6f",
+    },
+    "figure5": {
+        "fig5/P_of_k.csv":
+            "086fb98258ffa52d5dad161906c2fdaec19e30cc638010b499097ac13e2d0233",
+    },
+    "figure7": {
+        "fig7/k_stats_vs_alpha.csv":
+            "6607201be831c2e0797290798af85c30f305c3a848a7fae6f2b1e14960a673a2",
+    },
+    "figure8": {
+        "fig8/kmax_vs_N.csv":
+            "ec116cea2e821e077970f2a5ba9c85275b6c55c11644f7ec3a2f4552bad4ecc8",
+        "fig8/kmean_vs_N.csv":
+            "c953807fa1d2a317addc7a43c787544062ec50d81ad49834f044fd95d61d7a32",
+    },
+    "figure10": {
+        "fig10/r_vs_alpha.csv":
+            "305f2f2f8a3071809aeb724bda7ddf5ae821cae0a852f1475d888254a04639b5",
     },
 }
 

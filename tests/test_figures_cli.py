@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from goldbachnet.baseline import NullModelConfig
 from goldbachnet.cli import main
 from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
 
@@ -165,6 +166,28 @@ def test_cli_workers_below_one_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_cli_seed_outside_uint64_exit_2(tmp_path, capsys, seed):
+    for argv, name in ((["figure", "6"], "master_seed"),
+                       (["sweep", "--alphas", "0", "--snapshots", "50"], "master_seed"),
+                       (["build", "--alpha", "0", "--max-even", "100"], "seed")):
+        out = tmp_path / argv[0]
+        assert main(argv + [f"--seed={seed}", "--out", str(out)]) == 2, argv
+        assert f"error: {name} must fit in 64 unsigned bits" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+        NullModelConfig(10, 5, int(seed))
+
+
+def test_cli_figure_flag_the_preset_does_not_read_exit_2(tmp_path, capsys):
+    for argv, flag in ((["figure", "1", "--max-even", "5000"], "max_even"),
+                       (["figure", "6", "--snapshots", "100"], "snapshots")):
+        out = tmp_path / argv[1]
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert f"error: figure {argv[1]} does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_figure6_pooled_csv_byte_identical(tmp_path):
     texts = []
     for workers in ("1", "2"):
@@ -229,3 +252,38 @@ def test_cli_negative_alpha_forms(tmp_path):
     a = (out / "edges" / "graph.txt").read_text()
     b = (tmp_path / "m" / "edges" / "graph.txt").read_text()
     assert a == b
+
+
+MANIFEST_CONFIGS = [
+    (["build", "--alpha", "1.5", "--target-nodes", "150", "--seed", "42"],
+     {"alpha": "1.5", "clustering": "standard", "max_even": None,
+      "max_even_cap": 1_000_000, "seed": 42, "target_nodes": 150}),
+    (["build", "--alpha=-inf", "--max-even", "600", "--seed", "7",
+      "--clustering", "paper", "--max-even-cap", "5000"],
+     {"alpha": "-inf", "clustering": "paper", "max_even": 600,
+      "max_even_cap": 5000, "seed": 7, "target_nodes": None}),
+    (["sweep", "--alphas", "0,-1.8", "--snapshots", "60,90", "--realizations", "3",
+      "--seed", "42", "--max-even-cap", "20000", "--format", "csv", "--workers", "2"],
+     {"alphas": ["0.0", "-1.8"], "clustering": "standard", "format": "csv",
+      "max_even_cap": 20000, "realizations": 3, "seed": 42, "snapshots": [60, 90]}),
+    (["figure", "10", "--alphas", "-1,1", "--snapshots", "50", "--realizations", "2",
+      "--seed", "5", "--max-even-cap", "20000", "--clustering", "paper",
+      "--workers", "2"],
+     {"alphas": ["-1.0", "1.0"], "clustering": "paper", "figure": 10,
+      "max_even": None, "max_even_cap": 20000, "realizations": 2, "seed": 5,
+      "snapshots": [50]}),
+    (["figure", "6"],
+     {"alphas": None, "clustering": "standard", "figure": 6, "max_even": None,
+      "max_even_cap": 1_000_000, "realizations": None, "seed": 1,
+      "snapshots": None}),
+]
+
+
+@pytest.mark.parametrize("argv, config", MANIFEST_CONFIGS,
+                         ids=["build-target", "build-max-even", "sweep-csv",
+                              "figure-overrides", "figure-defaults"])
+def test_cli_manifest_config(tmp_path, argv, config):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {**config, "out": str(out)}
