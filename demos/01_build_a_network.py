@@ -5,7 +5,7 @@
 # prime pair p + q = n, drawn with probability proportional to the pair
 # spread (q - p) ** alpha.
 
-from goldbachnet import BuildConfig, build, build_table, decompose
+from goldbachnet import build, build_table, decompose
 
 # One sieve serves the whole run; its bound caps the largest even number.
 table = build_table(5_000)
@@ -14,11 +14,10 @@ print(f"{table!r}")
 # How an even number splits: 24 has three pairs with spreads 14, 10, 2.
 for n in (8, 10, 24, 100):
     d = decompose(table, n)
-    print(f"n={n}: omega={d.omega} pairs={[(p.p, p.q) for p in d.pairs]}")
+    print(f"n={n}: omega={d.omega} pairs={list(zip(d.p.tolist(), d.q.tolist()))}")
 
 # alpha = 0 picks pairs uniformly; the seed fixes every draw.
-cfg = BuildConfig(alpha=0.0, seed=2024, max_even=2_000)
-g = build(cfg, table)
+g = build(table, 0.0, 2024, max_even=2_000)
 print(f"\nbuilt {g!r}")
 
 # One link per even number, nodes appear on first use.
@@ -26,8 +25,8 @@ print("first five edges (p, q, source even):", g.edges[:5])
 print("growth after 1, 10, 100, 997 links:",
       [(int(m), int(n)) for m, n in g.growth_log[[0, 9, 99, 996]]])
 
-# The same configuration always rebuilds the identical network.
-again = build(cfg, table)
+# The same arguments always rebuild the identical network.
+again = build(table, 0.0, 2024, max_even=2_000)
 assert g.edges == again.edges
 
 # Plain-text export: header plus one "p q n" line per edge.

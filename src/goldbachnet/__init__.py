@@ -8,7 +8,7 @@ ensembles over alpha sweeps and node-count snapshots.
 """
 
 from . import errors
-from .baseline import GnmGraph, NullModelConfig, baseline_report, sample_gnm
+from .baseline import GnmGraph, baseline_report, sample_gnm
 from .ensemble import (
     AggregateStats,
     EnsembleResult,
@@ -21,11 +21,7 @@ from .ensemble import (
     realization_seed,
     run_sweep,
 )
-from .goldbach import (
-    Decomposition,
-    GoldbachPair,
-    decompose,
-)
+from .goldbach import Decomposition, decompose
 from .metrics import (
     MetricsReport,
     assortativity,
@@ -34,26 +30,18 @@ from .metrics import (
     degree_stats,
     shortest_distance_stats,
 )
-from .netbuild import (
-    BuildConfig,
-    PrimeGraph,
-    build,
-    build_many,
-)
+from .netbuild import PrimeGraph, build, build_many
 from .primes import PrimeTable, build_table
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateStats",
-    "BuildConfig",
     "Decomposition",
     "EnsembleResult",
     "GnmGraph",
-    "GoldbachPair",
     "GrowthCurves",
     "MetricsReport",
-    "NullModelConfig",
     "PrimeGraph",
     "PrimeTable",
     "SweepCell",

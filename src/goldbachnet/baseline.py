@@ -1,32 +1,10 @@
 """Uniform G(N, M) null model matched to a measured graph."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleNullModel
 from .metrics import compute_report
 from .netbuild import check_seed
-
-
-@dataclass(frozen=True)
-class NullModelConfig:
-    """Node count, edge count and seed of one null-model sample."""
-
-    n_nodes: int
-    m_edges: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
-        max_edges = self.n_nodes * (self.n_nodes - 1) // 2
-        if not 0 <= self.m_edges <= max_edges:
-            raise InfeasibleNullModel(
-                f"m_edges={self.m_edges} outside [0, {max_edges}] "
-                f"for {self.n_nodes} nodes"
-            )
-        check_seed(self.seed)
 
 
 class GnmGraph:
@@ -59,16 +37,25 @@ class GnmGraph:
         return self.edge_u, self.edge_v
 
 
-def sample_gnm(cfg):
-    """Draw a uniform simple graph with exactly the configured counts.
+def sample_gnm(n_nodes, m_edges, seed):
+    """Draw a uniform simple graph with exactly ``n_nodes`` and ``m_edges``.
 
     Rejection sampling over unordered pairs: candidate pairs stream from
     the seeded generator and the first m distinct ones are kept, which is
     exactly uniform over M-edge simple graphs. M is far below N**2/2 in
-    every use here, so rejection stays cheap.
+    every use here, so rejection stays cheap. Raises ValueError below 2
+    nodes or for a seed outside 64 unsigned bits, and InfeasibleNullModel
+    unless 0 <= m_edges <= n_nodes * (n_nodes - 1) / 2.
     """
-    n, m = cfg.n_nodes, cfg.m_edges
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(cfg.seed))))
+    n, m = n_nodes, m_edges
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes, got {n}")
+    max_edges = n * (n - 1) // 2
+    if not 0 <= m <= max_edges:
+        raise InfeasibleNullModel(
+            f"m_edges={m} outside [0, {max_edges}] for {n} nodes")
+    seed = check_seed(seed)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     seen = set()
     us = []
     vs = []
@@ -90,9 +77,9 @@ def sample_gnm(cfg):
             if len(us) == m:
                 break
     return GnmGraph(n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-                    cfg.seed)
+                    seed)
 
 
-def baseline_report(cfg, clustering_convention="standard"):
+def baseline_report(n_nodes, m_edges, seed, clustering_convention="standard"):
     """Metrics of one sampled null graph, in the same report type."""
-    return compute_report(sample_gnm(cfg), clustering_convention)
+    return compute_report(sample_gnm(n_nodes, m_edges, seed), clustering_convention)

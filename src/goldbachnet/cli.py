@@ -25,7 +25,7 @@ from .errors import GoldbachNetError
 from .ensemble import SweepSpec, run_sweep
 from .figures import DEFAULT_MAX_EVEN_CAP, FIGURE_DEFAULTS, alpha_label, figure_tables
 from .metrics import CLUSTERING_CONVENTIONS, compute_report
-from .netbuild import BuildConfig, build
+from .netbuild import build, check_run, check_seed
 from .primes import build_table
 
 
@@ -107,15 +107,12 @@ def _write_manifest(args, argv, artifacts, started):
 
 
 def _cmd_build(args):
-    cfg = BuildConfig(
-        alpha=args.alpha,
-        seed=args.seed,
-        max_even=args.max_even,
-        target_nodes=args.target_nodes,
-    )
-    limit = args.max_even if args.max_even is not None else args.max_even_cap
-    table = build_table(limit)
-    graph = build(cfg, table)
+    check_run(args.alpha, (args.max_even, args.target_nodes))  # before the sieve
+    check_seed(args.seed)
+    table = build_table(args.max_even if args.max_even is not None
+                        else args.max_even_cap)
+    graph = build(table, args.alpha, args.seed, max_even=args.max_even,
+                  target_nodes=args.target_nodes)
     report = compute_report(graph, args.clustering)
 
     (args.out / "edges").mkdir(parents=True, exist_ok=True)
@@ -123,7 +120,7 @@ def _cmd_build(args):
     artifacts = [Path("edges") / "graph.txt", Path("report.json")]
     graph.write_edge_list(args.out / artifacts[0])
     _write_json(args.out / artifacts[1],
-                {"alpha": repr(cfg.alpha), "seed": cfg.seed, **report.to_dict()})
+                {"alpha": repr(graph.alpha), "seed": graph.seed, **report.to_dict()})
     for name, x_name in (("p_of_j", "j"), ("P_of_k", "k"), ("C_by_degree", "k")):
         rel = Path("distributions") / f"{name}.csv"
         write_csv(args.out / rel, [x_name, name], report.distribution_csv_rows(name))

@@ -11,10 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import ClassVar
 
 import numpy as np
 
-from .baseline import NullModelConfig, baseline_report
+from .baseline import baseline_report
 from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
 from .netbuild import _build_rows, _share_table, check_run, check_seed
 from .primes import build_table
@@ -169,8 +170,8 @@ class SweepCell:
 class EnsembleResult:
     """All cells of one sweep plus full seed provenance."""
 
+    seed_rule: ClassVar[str] = SEED_RULE
     spec: SweepSpec
-    seed_rule: str
     cells: list
     warnings: list = field(default_factory=list)
 
@@ -201,8 +202,7 @@ def _measure(spec, row, si, sub):
     alpha_index, realization = divmod(row, spec.realizations)
     seed = baseline_seed(spec.master_seed, alpha_index, realization, si)
     return (compute_report(sub, spec.clustering),
-            baseline_report(NullModelConfig(sub.num_nodes, sub.num_edges, seed),
-                            spec.clustering))
+            baseline_report(sub.num_nodes, sub.num_edges, seed, spec.clustering))
 
 
 @contextmanager
@@ -261,8 +261,7 @@ def run_sweep(spec, workers=1):
                                        aggregate(breps)))
             else:
                 cells.append(SweepCell(alpha, n_star, 0, None, None))
-    return EnsembleResult(spec=spec, seed_rule=SEED_RULE, cells=cells,
-                          warnings=warnings)
+    return EnsembleResult(spec=spec, cells=cells, warnings=warnings)
 
 
 @dataclass

@@ -159,17 +159,20 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
 
     Any of alphas / snapshots / realizations / max_even overrides the
     preset default; the rest keep their conventional values. Preset 6
-    reads ``max_even`` and no ``snapshots``, the others the reverse;
-    passing the one a preset does not read raises ValueError.
+    reads ``max_even`` and no ``snapshots``, ``max_even_cap`` or
+    ``clustering``, the others all but ``max_even``; a value other than
+    the default for one a preset does not read raises ValueError.
     """
     figure_id = int(figure_id)
     if figure_id not in FIGURE_DEFAULTS:
         raise ValueError(f"figure id must be in 1..10, got {figure_id}")
     preset = FIGURE_DEFAULTS[figure_id]
-    unread, value = (("snapshots", snapshots) if "max_even" in preset
-                     else ("max_even", max_even))
-    if value is not None:
-        raise ValueError(f"figure {figure_id} does not read {unread}")
+    unread = ({"snapshots": (snapshots, None), "clustering": (clustering, "standard"),
+               "max_even_cap": (max_even_cap, DEFAULT_MAX_EVEN_CAP)}
+              if "max_even" in preset else {"max_even": (max_even, None)})
+    for name, (value, default) in unread.items():
+        if value != default:
+            raise ValueError(f"figure {figure_id} does not read {name}")
     alphas = tuple(float(a) for a in (alphas or preset["alphas"]))
     realizations = int(realizations) if realizations is not None else 20
 

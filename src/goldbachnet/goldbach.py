@@ -6,17 +6,9 @@ spread (delta = n - 2p), which the selection machinery in
 :mod:`goldbachnet.netbuild` relies on.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
-
-
-class GoldbachPair(NamedTuple):
-    p: int
-    q: int
-    delta: int
 
 
 class Decomposition:
@@ -40,13 +32,6 @@ class Decomposition:
     def omega(self):
         """Number of pairs."""
         return int(self.p.size)
-
-    @property
-    def pairs(self):
-        return [
-            GoldbachPair(int(a), int(b), int(d))
-            for a, b, d in zip(self.p, self.q, self.delta)
-        ]
 
     def __repr__(self):
         return f"Decomposition(n={self.n}, omega={self.omega})"

@@ -10,7 +10,6 @@ distinct sums, and within one number only a single pair is kept.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -50,9 +49,11 @@ def check_run(alpha, stop):
 
 
 def check_seed(seed, name="seed"):
-    """Raise ValueError unless ``seed`` fits in 64 unsigned bits."""
-    if not 0 <= int(seed) < 2**64:
+    """Return int ``seed``; raise ValueError unless it fits in 64 unsigned bits."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must fit in 64 unsigned bits")
+    return seed
 
 
 def _picker(delta, counts):
@@ -90,24 +91,6 @@ def _picker(delta, counts):
         return first + np.minimum(count, last)
 
     return pick
-
-
-@dataclass(frozen=True)
-class BuildConfig:
-    """One construction run: spread exponent, stop rule and seed.
-
-    Exactly one of ``max_even`` and ``target_nodes`` must be set; see
-    ``check_run``.
-    """
-
-    alpha: float
-    seed: int
-    max_even: int | None = None
-    target_nodes: int | None = None
-
-    def __post_init__(self):
-        check_run(self.alpha, (self.max_even, self.target_nodes))
-        check_seed(self.seed)
 
 
 class PrimeGraph:
@@ -333,6 +316,7 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
         Its sieve bound is the largest even number consumed.
     alphas : float or sequence of float
     seeds : sequence of int
+        Each must fit in 64 unsigned bits.
     max_even, target_nodes : int, optional
         Stop rule; exactly one must be given.
 
@@ -346,31 +330,30 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
         direct caller reads ``.exhausted``.
     """
     alphas = [check_run(a, (max_even, target_nodes)) for a in np.ravel(alphas)]
+    seeds = [check_seed(s) for s in seeds]
     if max_even is not None and max_even > table.limit:
         raise OutOfRange(
             f"max_even={max_even} needs a sieve up to it, "
             f"table stops at {table.limit}"
         )
-    seeds = [int(s) for s in seeds]
     marks = () if target_nodes is None else (target_nodes,)
     rows = _build_rows(table, alphas, seeds, max_even, marks)
     return [graph for _, _, graph in sorted(rows, key=itemgetter(0))]
 
 
-def build(cfg, table):
-    """Run the construction described by ``cfg`` against ``table``.
+def build(table, alpha, seed, *, max_even=None, target_nodes=None):
+    """Build the one realization ``build_many`` gives for (alpha, seed).
 
     Raises SieveExhausted when the sieve bound is consumed before the
-    graph reaches ``cfg.target_nodes``.
+    graph reaches ``target_nodes``.
     """
-    graph = build_many(table, cfg.alpha, [cfg.seed], max_even=cfg.max_even,
-                       target_nodes=cfg.target_nodes)[0]
+    graph = build_many(table, alpha, [seed], max_even=max_even,
+                       target_nodes=target_nodes)[0]
     if graph.exhausted:
         m = graph.num_edges
         raise SieveExhausted(
             f"even numbers exhausted at {6 + 2 * m} (bound {table.limit}): "
-            f"reached N={graph.num_nodes} of {cfg.target_nodes} nodes with "
+            f"reached N={graph.num_nodes} of {target_nodes} nodes with "
             f"M={m} links at alpha={graph.alpha!r}"
         )
     return graph
-

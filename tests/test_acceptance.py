@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from goldbachnet import (
-    BuildConfig,
     build,
     build_many,
     decompose,
@@ -158,8 +157,7 @@ def test_acceptance_sweeps_match_pinned_digests(request, name):
 
 
 def test_criterion_01_exactness(table_30k):
-    g = build(BuildConfig(alpha=0.0, seed=MASTER_SEED, max_even=10_000),
-              table_30k)
+    g = build(table_30k, 0.0, MASTER_SEED, max_even=10_000)
     assert g.num_edges == 4997  # one link per even number in [8, 10^4]
     assert np.array_equal(g.edge_even, np.arange(8, 10_001, 2))
     assert (g.edge_p + g.edge_q == g.edge_even).all()

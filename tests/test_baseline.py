@@ -4,31 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from goldbachnet import NullModelConfig, baseline_report, sample_gnm
+from goldbachnet import baseline_report, sample_gnm
 from goldbachnet.errors import InfeasibleNullModel
 
 
 def test_forced_triangle():
-    g = sample_gnm(NullModelConfig(3, 3, seed=5))
+    g = sample_gnm(3, 3, seed=5)
     edges = set(zip(g.edge_u.tolist(), g.edge_v.tolist()))
     assert edges == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_exact_edge_count_and_mean_degree():
-    report = baseline_report(NullModelConfig(1000, 3000, seed=9))
+    report = baseline_report(1000, 3000, seed=9)
     assert report.n_edges == 3000
     assert report.mean_k == pytest.approx(6.0, abs=1e-12)
 
 
 def test_infeasible():
-    with pytest.raises(InfeasibleNullModel):
-        NullModelConfig(4, 7, seed=1)
+    with pytest.raises(InfeasibleNullModel,
+                       match=r"^m_edges=7 outside \[0, 6\] for 4 nodes$"):
+        sample_gnm(4, 7, seed=1)
+    with pytest.raises(InfeasibleNullModel,
+                       match=r"^m_edges=-1 outside \[0, 6\] for 4 nodes$"):
+        sample_gnm(4, -1, seed=1)
+    with pytest.raises(ValueError, match="^need at least 2 nodes, got 1$"):
+        sample_gnm(1, 0, seed=1)
 
 
 def test_determinism_and_simplicity():
     for seed in (0, 1, 99):
-        a = sample_gnm(NullModelConfig(50, 120, seed))
-        b = sample_gnm(NullModelConfig(50, 120, seed))
+        a = sample_gnm(50, 120, seed)
+        b = sample_gnm(50, 120, seed)
         assert np.array_equal(a.edge_u, b.edge_u)
         assert np.array_equal(a.edge_v, b.edge_v)
         assert (a.edge_u < a.edge_v).all()
@@ -45,7 +51,7 @@ def test_uniformity_over_all_three_edge_graphs_on_four_nodes():
     counts = {}
     samples = 20_000
     for seed in range(samples):
-        g = sample_gnm(NullModelConfig(4, 3, seed))
+        g = sample_gnm(4, 3, seed)
         key = tuple(sorted(zip(g.edge_u.tolist(), g.edge_v.tolist())))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == n_graphs
@@ -62,7 +68,7 @@ def test_clustering_matches_erdos_renyi_expectation():
     for seed in range(runs):
         from goldbachnet import clustering
 
-        cs.append(clustering(sample_gnm(NullModelConfig(n, m, seed)))[0])
+        cs.append(clustering(sample_gnm(n, m, seed))[0])
     cs = np.array(cs)
     expected = 6 / 999
     assert abs(cs.mean() - expected) < 3 * cs.std(ddof=1) / np.sqrt(runs)
@@ -75,7 +81,7 @@ def test_dprime_grows_logarithmically():
     means = []
     for n in sizes:
         ds = [
-            shortest_distance_stats(sample_gnm(NullModelConfig(n, 3 * n, s)))[0]
+            shortest_distance_stats(sample_gnm(n, 3 * n, s))[0]
             for s in range(3)
         ]
         means.append(np.mean(ds))
@@ -89,11 +95,11 @@ def test_dprime_grows_logarithmically():
 
 
 def test_matched_baseline_report(table_30k):
-    from goldbachnet import BuildConfig, build, compute_report
+    from goldbachnet import build, compute_report
 
-    g = build(BuildConfig(alpha=0.0, seed=3, target_nodes=300), table_30k)
+    g = build(table_30k, 0.0, 3, target_nodes=300)
     rep = compute_report(g)
-    base = baseline_report(NullModelConfig(rep.n_nodes, rep.n_edges, seed=17))
+    base = baseline_report(rep.n_nodes, rep.n_edges, seed=17)
     assert base.n_nodes == rep.n_nodes
     assert base.n_edges == rep.n_edges
     assert base.mean_k == pytest.approx(rep.mean_k, abs=1e-12)

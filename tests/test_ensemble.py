@@ -6,7 +6,6 @@ import pytest
 from goldbachnet import (
     EnsembleResult,
     MetricsReport,
-    NullModelConfig,
     SweepCell,
     SweepSpec,
     aggregate,
@@ -150,13 +149,12 @@ def _reference_sweep(spec):
                 if sub is not None:
                     seed = baseline_seed(spec.master_seed, ai, i, si)
                     reps.append(compute_report(sub, spec.clustering))
-                    breps.append(baseline_report(
-                        NullModelConfig(sub.num_nodes, sub.num_edges, seed),
-                        spec.clustering))
+                    breps.append(baseline_report(sub.num_nodes, sub.num_edges,
+                                                 seed, spec.clustering))
             cells.append(SweepCell(alpha, n_star, len(reps),
                                    aggregate(reps) if reps else None,
                                    aggregate(breps) if reps else None))
-    return EnsembleResult(spec, SEED_RULE, cells, warnings)
+    return EnsembleResult(spec, cells, warnings)
 
 
 def test_run_sweep_with_look_ahead_matches_reference():
@@ -275,5 +273,6 @@ def test_json_document_roundtrip():
     text = json.dumps(doc, sort_keys=True)
     parsed = json.loads(text)
     assert parsed["alphas"] == ["0.0", "inf"]
+    assert parsed["seed_rule"] == SEED_RULE
     assert parsed["realizations"] == 2
     assert parsed["cells"][0]["network"]["scalars"]["d"]["count"] == 2

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from goldbachnet.baseline import NullModelConfig
+from goldbachnet import cli
+from goldbachnet.baseline import sample_gnm
 from goldbachnet.cli import main
 from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
 
@@ -124,15 +125,34 @@ def test_cli_build_rerun_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_cli_flag_errors_exit_2(tmp_path):
+BUILD_FLAG_ERRORS = [
+    (["--alpha", "0", "--max-even", "1"], "max_even must be even and >= 8, got 1"),
+    (["--alpha", "0", "--max-even", "7"], "max_even must be even and >= 8, got 7"),
+    (["--alpha", "0", "--target-nodes", "1"], "target_nodes must be >= 2, got 1"),
+    (["--alpha", "nan", "--max-even", "100"], "alpha must not be NaN"),
+    (["--alpha", "0", "--max-even", "100", "--target-nodes", "10"],
+     "set exactly one of max_even / target_nodes"),
+    (["--alpha", "0"], "set exactly one of max_even / target_nodes"),
+    (["--alpha", "0", "--max-even", "100", "--seed=-1"],
+     "seed must fit in 64 unsigned bits"),
+    (["--alpha", "0", "--max-even", "100", "--seed=18446744073709551616"],
+     "seed must fit in 64 unsigned bits"),
+]
+
+
+def test_cli_flag_errors_exit_2(tmp_path, capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("a bad flag reached the sieve")
+
+    monkeypatch.setattr(cli, "build_table", no_sieve)
+    for flags, message in BUILD_FLAG_ERRORS:
+        out = tmp_path / "bad"
+        assert main(["build", *flags, "--out", str(out)]) == 2, flags
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
     with pytest.raises(SystemExit) as err:
         main(["build", "--max-even", "100"])  # missing --alpha
     assert err.value.code == 2
-    rc = main(["build", "--alpha", "0", "--max-even", "100",
-               "--target-nodes", "10", "--out", str(tmp_path / "x")])
-    assert rc == 2  # both stop rules
-    rc = main(["build", "--alpha", "0", "--out", str(tmp_path / "y")])
-    assert rc == 2  # no stop rule
     with pytest.raises(SystemExit) as err:
         main(["figure", "11", "--out", str(tmp_path / "z")])
     assert err.value.code == 2
@@ -156,12 +176,13 @@ def test_cli_nan_alpha_exit_2(tmp_path):
 
 
 def test_cli_workers_below_one_exit_2(tmp_path, capsys):
-    for argv in (["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "0"],
-                 ["sweep", "--alphas", "0", "--snapshots", "50", "--workers", "-3"],
-                 ["figure", "10", "--snapshots", "50", "--workers", "0"],
+    sweep = ["sweep", "--alphas", "0", "--snapshots", "50"]
+    cap = ["--max-even-cap", "20000"]  # figure 6 does not read it
+    for argv in ([*sweep, "--workers", "0", *cap], [*sweep, "--workers", "-3", *cap],
+                 ["figure", "10", "--snapshots", "50", "--workers", "0", *cap],
                  ["figure", "6", "--max-even", "100", "--workers", "0"]):
         out = tmp_path / argv[0]
-        assert main(argv + ["--max-even-cap", "20000", "--out", str(out)]) == 2, argv
+        assert main(argv + ["--out", str(out)]) == 2, argv
         assert "error: workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -176,12 +197,14 @@ def test_cli_seed_outside_uint64_exit_2(tmp_path, capsys, seed):
         assert f"error: {name} must fit in 64 unsigned bits" in capsys.readouterr().err
         assert not out.exists()
     with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
-        NullModelConfig(10, 5, int(seed))
+        sample_gnm(10, 5, int(seed))
 
 
 def test_cli_figure_flag_the_preset_does_not_read_exit_2(tmp_path, capsys):
     for argv, flag in ((["figure", "1", "--max-even", "5000"], "max_even"),
-                       (["figure", "6", "--snapshots", "100"], "snapshots")):
+                       (["figure", "6", "--snapshots", "100"], "snapshots"),
+                       (["figure", "6", "--clustering", "paper"], "clustering"),
+                       (["figure", "6", "--max-even-cap", "10"], "max_even_cap")):
         out = tmp_path / argv[1]
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert f"error: figure {argv[1]} does not read {flag}" in capsys.readouterr().err

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from goldbachnet import (
-    BuildConfig,
-    NullModelConfig,
     assortativity,
     build,
     clustering,
@@ -172,7 +170,7 @@ def test_small_graphs_match_oracles():
 
 
 def test_report_identities(table_30k):
-    g = build(BuildConfig(alpha=0.5, seed=77, target_nodes=400), table_30k)
+    g = build(table_30k, 0.5, 77, target_nodes=400)
     rep = compute_report(g)
     assert sum(rep.p_of_j.values()) == pytest.approx(1.0, abs=1e-9)
     assert sum(rep.P_of_k.values()) == pytest.approx(1.0, abs=1e-9)
@@ -219,7 +217,7 @@ def test_isolated_nodes_counted():
 def test_gnm_assortativity_near_zero():
     # large uniform graphs are degree-uncorrelated
     rs = [
-        assortativity(sample_gnm(NullModelConfig(200, 400, seed)))
+        assortativity(sample_gnm(200, 400, seed))
         for seed in range(40)
     ]
     rs = np.array(rs)
@@ -245,8 +243,7 @@ def _networkx_graph(nx, graph):
 
 def test_distance_matches_networkx_at_realistic_size(table_1m):
     nx = pytest.importorskip("networkx")
-    g = build(BuildConfig(alpha=-2.5, seed=20260808, target_nodes=2000),
-              table_1m)
+    g = build(table_1m, -2.5, 20260808, target_nodes=2000)
     # ordered pairs per hop count, one BFS per source
     hops = Counter()
     for _, lengths in nx.all_pairs_shortest_path_length(_networkx_graph(nx, g)):
@@ -265,8 +262,7 @@ def test_distance_matches_networkx_at_realistic_size(table_1m):
 @pytest.mark.parametrize("alpha, n", [(-2.5, 4000), (2.0, 5000)])
 def test_clustering_matches_networkx_at_realistic_size(table_1m, alpha, n):
     nx = pytest.importorskip("networkx")
-    g = build(BuildConfig(alpha=alpha, seed=20260808, target_nodes=n),
-              table_1m)
+    g = build(table_1m, alpha, 20260808, target_nodes=n)
     ref = _networkx_graph(nx, g)
     c_ref = nx.clustering(ref)
     nodes = g.node_labels.tolist()
@@ -283,8 +279,7 @@ def test_clustering_matches_networkx_at_realistic_size(table_1m, alpha, n):
 @pytest.mark.parametrize("alpha", [2.0, -1.0, -2.0])
 def test_degree_and_assortativity_match_networkx(table_1m, alpha):
     nx = pytest.importorskip("networkx")
-    g = build(BuildConfig(alpha=alpha, seed=20260808, target_nodes=5000),
-              table_1m)
+    g = build(table_1m, alpha, 20260808, target_nodes=5000)
     ref = _networkx_graph(nx, g)
     degrees = [k for _, k in ref.degree()]
     p_of_k, mean_k, f_k, k_max = degree_stats(g)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldbachnet import (BuildConfig, PrimeGraph, build, build_many, build_table,
-                         decompose)
+from goldbachnet import PrimeGraph, build, build_many, build_table, decompose
 from goldbachnet.errors import OutOfRange, SieveExhausted
 from goldbachnet.figures import figure_tables
 from goldbachnet.netbuild import _build_rows, _chunk_picks, _picker, _share_table
@@ -56,7 +55,7 @@ def test_selection_frequencies_3sigma(table_2k):
 
 
 def test_build_first_even_only(table_2k):
-    g = build(BuildConfig(alpha=0.0, seed=1, max_even=8), table_2k)
+    g = build(table_2k, 0.0, 1, max_even=8)
     assert g.edges == [(3, 5, 8)]
     assert g.node_labels.tolist() == [3, 5]
     assert (g.num_edges, g.num_nodes) == (1, 2)
@@ -66,15 +65,14 @@ def test_build_first_even_only(table_2k):
 @pytest.mark.parametrize("alpha", [-INF, -1.0, 0.0, 2.5, INF])
 def test_build_forced_edges_up_to_12(table_2k, alpha):
     # every even number <= 12 has a single pair, so alpha cannot matter
-    g = build(BuildConfig(alpha=alpha, seed=99, max_even=12), table_2k)
+    g = build(table_2k, alpha, 99, max_even=12)
     assert g.edges == [(3, 5, 8), (3, 7, 10), (5, 7, 12)]
     assert (g.num_nodes, g.num_edges) == (3, 3)
 
 
 def test_build_deterministic(table_30k):
-    cfg = BuildConfig(alpha=0.7, seed=4242, target_nodes=300)
-    a = build(cfg, table_30k)
-    b = build(cfg, table_30k)
+    a = build(table_30k, 0.7, 4242, target_nodes=300)
+    b = build(table_30k, 0.7, 4242, target_nodes=300)
     assert np.array_equal(a.edge_p, b.edge_p)
     assert np.array_equal(a.edge_q, b.edge_q)
     assert np.array_equal(a.edge_even, b.edge_even)
@@ -85,8 +83,7 @@ def test_build_many_matches_individual_builds(table_30k):
     seeds = [11, 22, 33]
     joint = build_many(table_30k, -0.8, seeds, target_nodes=250)
     for seed, g_joint in zip(seeds, joint):
-        g_solo = build(BuildConfig(alpha=-0.8, seed=seed, target_nodes=250),
-                       table_30k)
+        g_solo = build(table_30k, -0.8, seed, target_nodes=250)
         assert np.array_equal(g_joint.edge_p, g_solo.edge_p)
         assert np.array_equal(g_joint.edge_q, g_solo.edge_q)
         assert np.array_equal(g_joint.edge_even, g_solo.edge_even)
@@ -355,7 +352,7 @@ def test_graphs_store_int32_and_derive_source_evens(table_2k):
 
 
 def test_growth_log_and_edge_accounting(table_30k):
-    g = build(BuildConfig(alpha=0.0, seed=5, max_even=5000), table_30k)
+    g = build(table_30k, 0.0, 5, max_even=5000)
     evens = np.arange(8, 5001, 2)
     assert np.array_equal(g.edge_even, evens)
     assert g.num_edges == evens.size
@@ -366,7 +363,7 @@ def test_growth_log_and_edge_accounting(table_30k):
 
 @pytest.mark.parametrize("alpha", [-INF, -2.5, -1.0, 0.0, 1.0, 2.0, INF])
 def test_simplicity_and_node_bound(table_30k, alpha):
-    g = build(BuildConfig(alpha=alpha, seed=31, max_even=20_000), table_30k)
+    g = build(table_30k, alpha, 31, max_even=20_000)
     assert (g.edge_p < g.edge_q).all()
     assert (g.edge_p + g.edge_q == g.edge_even).all()
     assert np.isin(g.edge_p, table_30k.ordered_primes).all()
@@ -380,8 +377,8 @@ def test_simplicity_and_node_bound(table_30k, alpha):
 
 
 def test_positive_alpha_grows_faster(table_30k):
-    fast = build(BuildConfig(alpha=2.0, seed=8, max_even=10_000), table_30k)
-    slow = build(BuildConfig(alpha=-2.0, seed=8, max_even=10_000), table_30k)
+    fast = build(table_30k, 2.0, 8, max_even=10_000)
+    slow = build(table_30k, -2.0, 8, max_even=10_000)
     assert fast.num_edges == slow.num_edges
     assert fast.num_nodes > slow.num_nodes
     tail = slice(100, None)
@@ -389,7 +386,7 @@ def test_positive_alpha_grows_faster(table_30k):
 
 
 def test_snapshots_basic(table_30k):
-    g = build(BuildConfig(alpha=0.0, seed=2, max_even=4000), table_30k)
+    g = build(table_30k, 0.0, 2, max_even=4000)
     assert g.snapshot_at(2).num_edges == 1
     n50 = g.snapshot_at(50)
     assert n50.num_nodes >= 50
@@ -398,7 +395,7 @@ def test_snapshots_basic(table_30k):
 
 
 def test_snapshot_prefix_consistency(table_30k):
-    g = build(BuildConfig(alpha=1.0, seed=3, target_nodes=500), table_30k)
+    g = build(table_30k, 1.0, 3, target_nodes=500)
     sub = g.snapshot_at(400)
     idx = int(np.searchsorted(g.node_count_history, 400))
     assert sub.num_edges == idx + 1
@@ -408,7 +405,7 @@ def test_snapshot_prefix_consistency(table_30k):
 
 def test_sieve_exhausted(table_2k):
     with pytest.raises(SieveExhausted) as err:
-        build(BuildConfig(alpha=0.0, seed=1, target_nodes=100_000), table_2k)
+        build(table_2k, 0.0, 1, target_nodes=100_000)
     # the partial state: last even consumed, nodes reached, links, alpha
     assert str(err.value) == (
         "even numbers exhausted at 2000 (bound 2000): reached N=272 of 100000 "
@@ -427,31 +424,44 @@ def test_sieve_below_the_first_even_gives_empty_rows():
     g, = build_many(build_table(7), 0.0, [1], target_nodes=10)
     assert g.exhausted and g.num_edges == 0 and g.num_nodes == 0
     with pytest.raises(SieveExhausted):
-        build(BuildConfig(alpha=0.0, seed=1, target_nodes=10), build_table(7))
+        build(build_table(7), 0.0, 1, target_nodes=10)
 
 
 def test_max_even_beyond_sieve(table_2k):
     with pytest.raises(OutOfRange):
-        build(BuildConfig(alpha=0.0, seed=1, max_even=50_000), table_2k)
+        build(table_2k, 0.0, 1, max_even=50_000)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=1)
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=1, max_even=10_000, target_nodes=10)
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=1, max_even=7)
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=1, target_nodes=1)
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=float("nan"), seed=1, max_even=100)
-    with pytest.raises(ValueError):
-        BuildConfig(alpha=0.0, seed=-1, max_even=100)
+def test_config_validation(table_2k):
+    def build_one(table, alpha, seed, **stop):
+        return build_many(table, alpha, [seed], **stop)
+
+    for alpha, seed, stop, message in (
+        (0.0, 1, {}, "set exactly one of max_even / target_nodes"),
+        (0.0, 1, {"max_even": 1000, "target_nodes": 10},
+         "set exactly one of max_even / target_nodes"),
+        (0.0, 1, {"max_even": 7}, "max_even must be even and >= 8, got 7"),
+        (0.0, 1, {"target_nodes": 1}, "target_nodes must be >= 2, got 1"),
+        (math.nan, 1, {"max_even": 100}, "alpha must not be NaN"),
+        (0.0, -1, {"max_even": 100}, "seed must fit in 64 unsigned bits"),
+        (0.0, 2**64, {"max_even": 100}, "seed must fit in 64 unsigned bits"),
+    ):
+        for fn in (build, build_one):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(table_2k, alpha, seed, **stop)
+
+
+def test_build_many_checks_every_seed(table_2k):
+    # 2**64 built a graph and -1 failed inside numpy before the seed check
+    for seeds in ([2**64], [-1], [1, 2**64], [2**64 - 1, -1]):
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            build_many(table_2k, (0.0, 1.0), seeds, max_even=100)
+    g, = build_many(table_2k, 0.0, [2**64 - 1], max_even=100)
+    assert g.seed == 2**64 - 1
 
 
 def test_edge_list_export(tmp_path, table_2k):
-    g = build(BuildConfig(alpha=-INF, seed=6, max_even=12), table_2k)
+    g = build(table_2k, -INF, 6, max_even=12)
     path = tmp_path / "edges.txt"
     g.write_edge_list(path)
     text = path.read_text()

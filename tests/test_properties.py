@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (TinyGraph, floyd_warshall_stats, newman_r, per_node_clustering,
                      pick_index)
 
-from goldbachnet import (NullModelConfig, build_many, compute_report, decompose,
+from goldbachnet import (build_many, compute_report, decompose,
                          metrics, sample_gnm)
 from goldbachnet.netbuild import _picker
 
@@ -196,18 +196,19 @@ def test_assortativity_matches_newman_oracle(graph):
 
 
 @st.composite
-def gnm_configs(draw):
+def gnm_args(draw):
     n = draw(st.integers(2, 30))
     most = n * (n - 1) // 2
     m = draw(st.one_of(st.just(most), st.integers(0, most)))
-    return NullModelConfig(n, m, draw(st.integers(0, 2**64 - 1)))
+    return n, m, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(cfg=gnm_configs())
-def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(cfg):
-    g = sample_gnm(cfg)
+@given(args=gnm_args())
+def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(args):
+    n, m, seed = args
+    g = sample_gnm(n, m, seed)
     u, v = g.edge_endpoints()
-    assert u.size == v.size == cfg.m_edges
-    assert ((0 <= u) & (u < v) & (v < cfg.n_nodes)).all()
-    assert np.unique(u * cfg.n_nodes + v).size == cfg.m_edges
+    assert u.size == v.size == m
+    assert ((0 <= u) & (u < v) & (v < n)).all()
+    assert np.unique(u * n + v).size == m
