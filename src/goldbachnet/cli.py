@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import GoldbachNetError
 from .ensemble import SweepSpec, run_sweep
@@ -57,9 +56,13 @@ def _fmt_cell(value):
     return repr(float(value))  # shortest round-trip decimal form
 
 
+_CELL_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}  # else _fmt_cell
+
+
 def write_csv(path, header, rows):
     lines = [",".join(str(h) for h in header)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
+    fmt = _CELL_FORMATS.get
+    lines.extend(",".join([fmt(type(c), _fmt_cell)(c) for c in row]) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -100,14 +103,15 @@ def _write_manifest(args, argv, artifacts, started):
             for rel in sorted(artifacts)
         ],
         "duration_seconds": round(time.time() - started, 3),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
     _write_json(args.out / "manifest.json", doc)
 
 
 def _cmd_build(args):
     check_run(args.alpha, (args.max_even, args.target_nodes))  # before the sieve
+    if args.max_even is not None and args.max_even_cap != DEFAULT_MAX_EVEN_CAP:
+        raise ValueError("build with max_even does not read max_even_cap")
     check_seed(args.seed)
     table = build_table(args.max_even if args.max_even is not None
                         else args.max_even_cap)

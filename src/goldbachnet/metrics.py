@@ -11,14 +11,14 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateGraph, UndefinedAssortativity
 
 CLUSTERING_CONVENTIONS = ("standard", "paper")
-# rows per sparse product in _clustering; bounds its transient memory
-_TRIANGLE_ROWS = 256
+# columns per packed adjacency block and edges per gather in _clustering;
+# together they bound each of its temporaries to about 1 MB
+_TRIANGLE_COLS = 2048
+_TRIANGLE_EDGES = 4096
 
 
 @dataclass
@@ -74,24 +74,49 @@ class MetricsReport:
 
 
 def _adjacency(graph):
-    """Symmetric 0/1 adjacency of ``graph`` as one CSR array, rows sorted.
+    """Symmetric adjacency of ``graph`` as one int64 CSR ``(indptr,
+    indices)``, columns ascending in each row; row i is ``node_labels[i]``.
 
-    Row i belongs to ``node_labels[i]``; every kernel reads the node count,
-    the degrees and the edge count off this one array.
+    Every kernel reads the node count, degrees and edge count off it;
+    int64 spares the BFS an index conversion on every level.
     """
     labels = graph.node_labels
+    n = labels.size
     u, v = graph.edge_endpoints()
     eu = np.searchsorted(labels, u)
     ev = np.searchsorted(labels, v)
-    # int32, not int8: one common-neighbor count can exceed 127
-    data = np.ones(2 * eu.size, dtype=np.int32)
-    rows_cols = (np.concatenate([eu, ev]), np.concatenate([ev, eu]))
-    return csr_array((data, rows_cols), shape=(labels.size, labels.size))
+    keys = np.concatenate([eu * n + ev, ev * n + eu])  # row * n + col
+    keys.sort()
+    rows, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
 
 
 def _degrees(adj):
-    # int64: scipy may pick int32 indices, and k**3 overflows int32 above 1290
-    return np.diff(adj.indptr).astype(np.int64)
+    return np.diff(adj[0])  # int64: k**3 overflows int32 above 1290
+
+
+def _component_sizes(adj):
+    """``bincount`` of component labels, by minimum-label propagation.
+
+    Each round every node takes the smallest label among itself and its
+    neighbors, and pointer jumping follows labels to a fixed point. A label
+    only falls and stays in its component: rounds end at one per component.
+    """
+    indptr, indices = adj
+    linked = np.diff(indptr) > 0
+    starts = indptr[:-1][linked]
+    labels = np.arange(indptr.size - 1)
+    while True:
+        low = labels.copy()
+        low[linked] = np.minimum(labels[linked],
+                                 np.minimum.reduceat(labels[indices], starts))
+        while not np.array_equal(jumped := low[low], low):
+            low = jumped
+        if np.array_equal(low, labels):
+            return np.bincount(labels)
+        labels = low
 
 
 def _bfs_distance_histogram(adj):
@@ -102,8 +127,8 @@ def _bfs_distance_histogram(adj):
     step unions the frontier bits of every node's neighbors via a single
     ``bitwise_or.reduceat`` over the CSR layout.
     """
-    n, indptr, indices = adj.shape[0], adj.indptr, adj.indices
-    starts = indptr[:-1]
+    indptr, indices = adj
+    n, starts = indptr.size - 1, indptr[:-1]
     isolated = _degrees(adj) == 0
     any_isolated = bool(isolated.any())
     # trailing zero sentinel keeps every reduceat offset in bounds; OR-ing an
@@ -138,11 +163,10 @@ def _bfs_distance_histogram(adj):
 
 
 def _distance_stats(adj):
-    n = adj.shape[0]
+    n = adj[0].size - 1
     if n < 2:
         raise DegenerateGraph(f"need at least 2 nodes, have {n}")
-    _, labels = connected_components(adj, directed=False)
-    sizes = np.bincount(labels).astype(np.int64)
+    sizes = _component_sizes(adj)
     giant = int(sizes.max())
     reachable_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     total_pairs = n * (n - 1) // 2
@@ -161,18 +185,29 @@ def _distance_stats(adj):
 def _clustering(adj, convention):
     if convention not in CLUSTERING_CONVENTIONS:
         raise ValueError(f"unknown clustering convention {convention!r}")
-    n, deg = adj.shape[0], _degrees(adj)
-    # links among the neighbors of i = triangles at i = (A^3)_ii / 2, summed
-    # from (A @ A) * A one block of rows at a time to bound the product
+    indptr, indices = adj
+    n, deg = indptr.size - 1, _degrees(adj)
+    rows = np.repeat(np.arange(n), deg)
+    # links among the neighbors of i = half the common neighbors summed over
+    # the edges at i. Each edge u < v counts its own by popcount over packed
+    # adjacency bits, one block of columns and of edges at a time; the sum
+    # takes dtype int64 because its default uint64 cannot add to int64
+    upper = rows < indices
+    eu, ev = rows[upper], indices[upper]
+    common = np.zeros(eu.size, dtype=np.int64)
+    for lo in range(0, n, _TRIANGLE_COLS):
+        inside = (indices >= lo) & (indices < lo + _TRIANGLE_COLS)
+        bits = np.zeros((n, -(-min(_TRIANGLE_COLS, n - lo) // 64)), dtype=np.uint64)
+        cols = (indices[inside] - lo).astype(np.uint64)
+        np.bitwise_or.at(bits, (rows[inside], cols >> 6), np.uint64(1) << (cols & 63))
+        for e in range(0, eu.size, _TRIANGLE_EDGES):
+            block = slice(e, e + _TRIANGLE_EDGES)
+            common[block] += np.bitwise_count(bits[eu[block]] & bits[ev[block]]).sum(
+                axis=1, dtype=np.int64)
     links_among_neighbors = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, _TRIANGLE_ROWS):
-        block = slice(lo, lo + _TRIANGLE_ROWS)
-        rows = adj[block]
-        links_among_neighbors[block] = (rows @ adj).multiply(rows).sum(axis=1) // 2
-    if convention == "standard":
-        possible = deg * (deg - 1) // 2
-    else:
-        possible = deg * (deg + 1) // 2
+    np.add.at(links_among_neighbors, np.concatenate([eu, ev]), np.tile(common, 2))
+    links_among_neighbors //= 2
+    possible = deg * (deg - 1 if convention == "standard" else deg + 1) // 2
     c_i = np.zeros(n, dtype=np.float64)
     ok = possible > 0
     c_i[ok] = links_among_neighbors[ok] / possible[ok]
@@ -187,7 +222,7 @@ def _clustering(adj, convention):
 
 
 def _degree_stats(adj):
-    n, deg = adj.shape[0], _degrees(adj)
+    n, deg = adj[0].size - 1, _degrees(adj)
     if n < 1:
         raise DegenerateGraph("graph has no nodes")
     counts = np.bincount(deg)
@@ -198,17 +233,18 @@ def _degree_stats(adj):
 
 
 def _assortativity(adj):
-    if adj.nnz == 0:
+    nnz = adj[1].size
+    if nnz == 0:
         raise UndefinedAssortativity("graph has no edges")
     deg = _degrees(adj)
     # exact integer sums over both directions of every edge: the denominator
     # must vanish exactly for degree-regular edge sets, not merely fall below
     # a float tolerance
-    s_kk = int(deg @ (adj @ deg))
+    s_kk = int(np.repeat(deg, deg) @ deg[adj[1]])
     s_k2 = int(deg @ deg)
     s_k3 = int(np.sum(deg**3))
-    num = adj.nnz * s_kk - s_k2 * s_k2
-    den = adj.nnz * s_k3 - s_k2 * s_k2
+    num = nnz * s_kk - s_k2 * s_k2
+    den = nnz * s_k3 - s_k2 * s_k2
     if den == 0:
         raise UndefinedAssortativity(
             "degrees at edge endpoints have zero variance"
@@ -264,8 +300,8 @@ def compute_report(graph, clustering_convention="standard"):
     except UndefinedAssortativity:
         r = None
     return MetricsReport(
-        n_nodes=adj.shape[0],
-        n_edges=adj.nnz // 2,
+        n_nodes=adj[0].size - 1,
+        n_edges=adj[1].size // 2,
         d=d,
         p_of_j=p_of_j,
         reachable_fraction=float(reachable_fraction),

@@ -391,9 +391,9 @@ PINNED_COMMANDS = {
                       "--realizations", "2", "--seed", "42", "--max-even-cap", "20000"]
        for k in (1, 2, 3, 4, 5, 7, 8, 10)},
 }
-# SHA-256 of every artifact of PINNED_COMMANDS, recorded with Python 3.11.7,
-# numpy 2.4.6 and scipy 1.17.1. A code change that moves one of them changes
-# an output; other library versions may format floats differently.
+# SHA-256 of every artifact of PINNED_COMMANDS, recorded with Python 3.11.7
+# and numpy 2.4.6. A code change that moves one of them changes an output;
+# other library versions may format floats differently.
 GOLDEN_DIGESTS = {
     "build": {
         "distributions/C_by_degree.csv":

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -88,16 +93,35 @@ def test_cli_manifest_records_versions(tmp_path):
     import platform
 
     import numpy
-    import scipy
 
     out = tmp_path / "run"
     assert main(["build", "--alpha", "0", "--max-even", "20", "--seed", "1",
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["versions"] == {"python": platform.python_version(),
-                                    "numpy": numpy.__version__,
-                                    "scipy": scipy.__version__}
+                                    "numpy": numpy.__version__}
     assert "versions" not in {a["path"] for a in manifest["artifacts"]}
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """Importing the CLI, a build and a pooled sweep leave scipy unloaded."""
+    code = textwrap.dedent("""\
+        import sys
+        from goldbachnet import cli
+        out = sys.argv[1]
+        assert "scipy" not in sys.modules, "import"
+        assert cli.main(["build", "--alpha", "0", "--max-even", "200",
+                         "--out", out + "/build"]) == 0
+        assert "scipy" not in sys.modules, "build"
+        assert cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
+                         "--realizations", "2", "--max-even-cap", "20000",
+                         "--workers", "2", "--out", out + "/sweep"]) == 0
+        assert "scipy" not in sys.modules, "sweep"
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_build_minus_inf_seed_independent(tmp_path):
@@ -137,6 +161,8 @@ BUILD_FLAG_ERRORS = [
      "seed must fit in 64 unsigned bits"),
     (["--alpha", "0", "--max-even", "100", "--seed=18446744073709551616"],
      "seed must fit in 64 unsigned bits"),
+    (["--alpha=-inf", "--max-even", "600", "--max-even-cap", "5000"],
+     "build with max_even does not read max_even_cap"),
 ]
 
 
@@ -282,9 +308,9 @@ MANIFEST_CONFIGS = [
      {"alpha": "1.5", "clustering": "standard", "max_even": None,
       "max_even_cap": 1_000_000, "seed": 42, "target_nodes": 150}),
     (["build", "--alpha=-inf", "--max-even", "600", "--seed", "7",
-      "--clustering", "paper", "--max-even-cap", "5000"],
+      "--clustering", "paper"],
      {"alpha": "-inf", "clustering": "paper", "max_even": 600,
-      "max_even_cap": 5000, "seed": 7, "target_nodes": None}),
+      "max_even_cap": 1_000_000, "seed": 7, "target_nodes": None}),
     (["sweep", "--alphas", "0,-1.8", "--snapshots", "60,90", "--realizations", "3",
       "--seed", "42", "--max-even-cap", "20000", "--format", "csv", "--workers", "2"],
      {"alphas": ["0.0", "-1.8"], "clustering": "standard", "format": "csv",

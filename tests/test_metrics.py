@@ -9,6 +9,7 @@ from goldbachnet import (
     clustering,
     compute_report,
     degree_stats,
+    metrics,
     sample_gnm,
     shortest_distance_stats,
 )
@@ -257,6 +258,18 @@ def test_distance_matches_networkx_at_realistic_size(table_1m):
     assert p_of_j == pytest.approx({j: c / pairs for j, c in hops.items()},
                                    rel=1e-12)
     assert (rf, giant) == (1.0, 2000)
+
+
+def test_component_sizes_match_networkx():
+    nx = pytest.importorskip("networkx")
+    g = sample_gnm(3000, 1200, 11)  # mean degree 0.8
+    ref = sorted(len(c) for c in nx.connected_components(_networkx_graph(nx, g)))
+    assert ref.count(1) > 1000 and len(ref) > 1500 and ref[-1] > 10
+    sizes = metrics._component_sizes(metrics._adjacency(g))
+    assert sorted(sizes[sizes > 0].tolist()) == ref
+    report = compute_report(g)
+    assert report.giant_component_size == ref[-1]
+    assert report.reachable_fraction == sum(s * (s - 1) for s in ref) / (3000 * 2999)
 
 
 @pytest.mark.parametrize("alpha, n", [(-2.5, 4000), (2.0, 5000)])

@@ -130,30 +130,6 @@ def test_report_invariant_under_any_relabelling(graph, data):
     assert before == after
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(graph=small_graphs(), rows=st.integers(1, 8))
-def test_report_matches_oracles_in_any_row_blocks(graph, rows):
-    """d and p(j) equal Floyd-Warshall, C and C(k) the per-node count, and
-    the paper convention is standard times (k-1)/(k+1) in every degree bin,
-    whatever the rows per block of the triangle count."""
-    n, edges = graph
-    with mock.patch.object(metrics, "_TRIANGLE_ROWS", rows):
-        report = compute_report(TinyGraph(n, edges))
-        paper = compute_report(TinyGraph(n, edges), "paper").C_by_degree
-    d, p_of_j, _, _ = floyd_warshall_stats(n, edges)
-    assert report.d == pytest.approx(d, rel=0, abs=1e-12)
-    assert report.p_of_j.keys() == p_of_j.keys()
-    for j in p_of_j:
-        assert report.p_of_j[j] == pytest.approx(p_of_j[j], rel=0, abs=1e-12)
-    c_i = per_node_clustering(n, edges)
-    deg = np.bincount(np.ravel(edges), minlength=n)
-    assert report.C == pytest.approx(c_i.mean(), rel=0, abs=1e-12)
-    assert report.C_by_degree.keys() == paper.keys() == set(deg.tolist())
-    for k, c_k in report.C_by_degree.items():
-        assert c_k == pytest.approx(c_i[deg == k].mean(), rel=0, abs=1e-12)
-        assert paper[k] == pytest.approx(c_k * (k - 1) / (k + 1), rel=0, abs=1e-12)
-
-
 @st.composite
 def hub_graphs(draw):
     """9 to 40 nodes, one to three hubs linked to at least half of the
@@ -164,6 +140,34 @@ def hub_graphs(draw):
         spokes = draw(st.sets(st.integers(0, n - 1), min_size=n // 2))
         edges |= {(min(hub, s), max(hub, s)) for s in spokes if s != hub}
     return n, sorted(edges)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(graph=st.one_of(small_graphs(), hub_graphs()), cols=st.integers(1, 16),
+       edge_rows=st.integers(1, 8))
+def test_report_matches_oracles_in_any_row_blocks(graph, cols, edge_rows):
+    """d, p(j), the reachable fraction and the giant component equal
+    Floyd-Warshall, C and C(k) the per-node count, and the paper convention
+    is standard times (k-1)/(k+1) in every degree bin, whatever the column
+    and edge blocks of the triangle count."""
+    n, edges = graph
+    with mock.patch.multiple(metrics, _TRIANGLE_COLS=cols, _TRIANGLE_EDGES=edge_rows):
+        report = compute_report(TinyGraph(n, edges))
+        paper = compute_report(TinyGraph(n, edges), "paper").C_by_degree
+    d, p_of_j, reachable_fraction, giant = floyd_warshall_stats(n, edges)
+    assert report.d == pytest.approx(d, rel=0, abs=1e-12)
+    assert report.p_of_j.keys() == p_of_j.keys()
+    for j in p_of_j:
+        assert report.p_of_j[j] == pytest.approx(p_of_j[j], rel=0, abs=1e-12)
+    assert (report.reachable_fraction, report.giant_component_size) == (
+        reachable_fraction, giant)
+    c_i = per_node_clustering(n, edges)
+    deg = np.bincount(np.ravel(edges), minlength=n)
+    assert report.C == pytest.approx(c_i.mean(), rel=0, abs=1e-12)
+    assert report.C_by_degree.keys() == paper.keys() == set(deg.tolist())
+    for k, c_k in report.C_by_degree.items():
+        assert c_k == pytest.approx(c_i[deg == k].mean(), rel=0, abs=1e-12)
+        assert paper[k] == pytest.approx(c_k * (k - 1) / (k + 1), rel=0, abs=1e-12)
 
 
 @st.composite
