@@ -15,23 +15,21 @@ class Decomposition:
     """All prime pairs (p, q), p < q, summing to one even number, or to each
     even number of a range.
 
-    Pairs are stored as parallel arrays, even number by even number, each
-    sorted by ascending p; ``counts`` holds the pair count of each even.
+    Pairs are parallel arrays, even number by even number, each sorted by
+    ascending p: int32 positions ``ip``, ``iq`` of p, q in the ordered primes
+    and ``delta``; ``counts`` holds the pair count of each even.
     """
 
-    __slots__ = ("n", "p", "q", "delta", "counts")
+    __slots__ = ("n", "ip", "iq", "delta", "counts", "_primes")
 
-    def __init__(self, n, p, q, counts):
+    def __init__(self, n, primes, ip, iq, delta, counts):
         self.n = n if isinstance(n, range) else int(n)
-        self.p = p
-        self.q = q
-        self.delta = q - p
-        self.counts = counts
+        self._primes, self.ip, self.iq = primes, ip, iq
+        self.delta, self.counts = delta, counts
 
-    @property
-    def omega(self):
-        """Number of pairs."""
-        return int(self.p.size)
+    p = property(lambda self: self._primes[self.ip], doc="Smaller primes.")
+    q = property(lambda self: self._primes[self.iq], doc="Larger primes.")
+    omega = property(lambda self: int(self.ip.size), doc="Number of pairs.")
 
     def __repr__(self):
         return f"Decomposition(n={self.n}, omega={self.omega})"
@@ -76,14 +74,22 @@ def decompose(table, n):
     primes = table.ordered_primes
     # odd p <= n1 / 2 (n - 2 is never prime), q above p in the primes' order
     p = primes[1:primes.searchsorted(n1 // 2, side="right")]
-    lo = np.maximum(primes.searchsorted(n0 - p), np.arange(2, p.size + 2))
-    count = np.maximum(primes.searchsorted(n1 - p, side="right") - lo, 0)
-    q = primes[np.repeat(lo - count.cumsum() + count, count) + np.arange(count.sum())]
-    p = np.repeat(p, count)
+    # q in [n0 - p, n1 - p] by position: below[k] + base primes lie under x0 + 2k
+    x0 = n0 - (n1 // 2 - 1 | 1)  # the least n - p, odd like every n - p
+    base, top = primes.searchsorted([x0, n1])
+    below = np.zeros((n1 - x0) // 2 + 2, dtype=np.int32)
+    below[(primes[base:top] - x0) // 2 + 1] = 1
+    below.cumsum(out=below)
+    lo = np.maximum(below[(n0 - p - x0) >> 1] + base, np.arange(2, p.size + 2))
+    count = np.maximum(below[((n1 - p - x0) >> 1) + 1] + base - lo, 0)
+    ip = np.repeat(np.arange(1, p.size + 1, dtype=np.int32), count)
+    iq = np.repeat((lo - count.cumsum() + count).astype(np.int32), count)
+    iq += np.arange(iq.size, dtype=np.int32)
+    q, p = primes.take(iq), np.repeat(p, count)
     even = ((p + q - n0) >> 1).astype(np.min_scalar_type(len(evens) - 1))
     order = even.argsort(kind="stable")
     counts = np.bincount(even, minlength=len(evens))
     if not counts.all():
         raise UndecomposableEven(
             f"no prime pair p < q found for {evens[int(counts.argmin())]}")
-    return Decomposition(n, p[order], q[order], counts)
+    return Decomposition(n, primes, ip[order], iq[order], (q - p)[order], counts)

@@ -13,7 +13,6 @@ from collections import deque
 from functools import partial
 from itertools import islice
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -145,7 +144,9 @@ class PrimeGraph:
     def node_labels(self):
         """Sorted array of the distinct primes present."""
         if self._labels is None:
-            self._labels = np.unique(np.concatenate([self.edge_p, self.edge_q]))
+            # sorted, repeats dropped: np.unique's first call imports numpy.ma
+            labels = np.sort(np.concatenate([self.edge_p, self.edge_q]))
+            self._labels = labels[np.diff(labels, prepend=-1) != 0]
         return self._labels
 
     @property
@@ -186,17 +187,11 @@ class PrimeGraph:
 
     def write_edge_list(self, path):
         """Plain-text export: header line, then one "p q n" line per edge."""
-        lines = [
-            f"# goldbach-net alpha={self.alpha!r} seed={self.seed} "
-            f"M={self.num_edges} N={self.num_nodes}"
-        ]
-        lines.extend(
-            f"{p} {q} {n}"
-            for p, q, n in zip(
-                self.edge_p.tolist(), self.edge_q.tolist(), self.edge_even.tolist()
-            )
-        )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"# goldbach-net alpha={self.alpha!r} seed={self.seed} "
+                     f"M={self.num_edges} N={self.num_nodes}\n")
+            fh.writelines(f"{p} {q} {n}\n" for p, q, n in zip(
+                self.edge_p.tolist(), self.edge_q.tolist(), self.edge_even.tolist()))
 
 
 def _share_table(table):
@@ -205,30 +200,31 @@ def _share_table(table):
 
 
 def _chunk_picks(table, j, size, groups, draws):
-    """Smaller primes picked per ``(alpha, lo, hi)`` group of ``draws`` rows
-    for the ``size`` even numbers from 8 + 2j on; a worker passes no table."""
+    """(rows, size, 2) int32 prime indices (ip, iq) picked per ``(alpha, lo, hi)``
+    group of ``draws`` rows for the evens from 8 + 2j on; workers pass no table."""
     table = _worker_table if table is None else table
     evens = range(8 + 2 * j, 8 + 2 * (j + size), 2)
-    p = np.empty(draws.shape, dtype=np.int32)
+    idx = np.empty((*draws.shape, 2), dtype=np.int32)
     for c in range(0, size, _BLOCK):
         block = slice(c, c + _BLOCK)
         decomp = decompose(table, evens[block])
         pick = _picker(decomp.delta, decomp.counts)
         for alpha, lo, hi in groups:
-            p[lo:hi, block] = decomp.p[pick(alpha, draws[lo:hi, block])]
-    return p
+            k = pick(alpha, draws[lo:hi, block])
+            idx[lo:hi, block, 0] = decomp.ip[k]
+            idx[lo:hi, block, 1] = decomp.iq[k]
+    return idx
 
 
-def _new_endpoints(table, seen, rows, j, p):
-    """Count per edge (uint8) of its endpoints new to its row: first
-    occurrences, p before q, of unseen (row, prime) keys; temporaries die here."""
-    q = np.arange(8 + 2 * j, 8 + 2 * (j + p.shape[1]), 2) - p
-    idx = np.searchsorted(table.ordered_primes, np.stack([p, q], axis=2))
-    keys = (idx + rows[:, None, None] * table.n_primes).ravel()
-    unseen = np.flatnonzero(~seen[keys])
+def _new_endpoints(seen, rows, idx):
+    """Uint8 count per edge of its endpoints new to its row; marks the first
+    occurrences, p before q, in ``seen[row, prime index]``. Temporaries die here."""
+    keys = (idx + rows[:, None, None] * seen.shape[1]).ravel()
+    unseen = np.flatnonzero(~seen.take(keys))
     first = unseen[np.unique(keys[unseen], return_index=True)[1]]
-    seen[keys[first]] = True
-    return np.bincount(first // 2, minlength=p.size).astype(np.uint8).reshape(p.shape)
+    seen.put(keys[first], True)
+    return (np.bincount(first // 2, minlength=keys.size // 2)
+            .astype(np.uint8).reshape(idx.shape[:2]))
 
 
 def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
@@ -251,7 +247,7 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     target = marks[-1] if marks else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
-    seen = np.zeros(n_rows * table.n_primes, dtype=bool)
+    seen = np.zeros((n_rows, table.n_primes), dtype=bool)
     count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
     active = np.arange(n_rows)
     records = [(active, *np.zeros((2, n_rows, 0), dtype=np.int32))]  # (rows, p, new)
@@ -267,7 +263,8 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
         size = min(_CHUNK, n_evens - j)
         row_alpha, row_seed = np.divmod(active, n_seeds)
         uniforms = np.zeros((n_seeds, size))
-        for i in np.unique(row_seed[finite[row_alpha]]):
+        # a set: np.unique's first call imports numpy.ma (1.8 MB traced)
+        for i in set(row_seed[finite[row_alpha]].tolist()):
             uniforms[i] = gens[i].random(size)
         # active rows are alpha-major, so each alpha's rows are one slice
         bounds = np.searchsorted(row_alpha, np.arange(len(alphas) + 1)).tolist()
@@ -280,8 +277,9 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     pending = deque(map(submit, islice(starts, pool._max_workers + 1 if pool else 1)))
     while active.size and pending:
         j, rows, picks = pending.popleft()
-        p = picks()[np.searchsorted(rows, active)]
-        new = _new_endpoints(table, seen, active, j, p)
+        idx = picks()[np.searchsorted(rows, active)]
+        new = _new_endpoints(seen, active, idx)
+        p = table.ordered_primes[idx[..., 0]].astype(np.int32)
         records.append((active, p, new))
         count[active] += new.sum(axis=1, dtype=np.int64)
         for r in active.tolist():

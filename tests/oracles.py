@@ -56,6 +56,22 @@ def pick_index(delta, alpha, draws):
     return cum[:-1].searchsorted(draws * cum[-1], side="right")
 
 
+def new_endpoints_by_search(ordered_primes, seen, rows, j, p):
+    """Count per edge (uint8) of its endpoints new to its row, for the
+    smaller primes ``p`` (rows, evens) picked from the even numbers from
+    8 + 2j on: each endpoint's index is searched for in the ordered primes,
+    and ``seen`` is the flat bool array of (row, prime index) cells, marked
+    in place at first occurrences, p before q.
+    """
+    q = np.arange(8 + 2 * j, 8 + 2 * (j + p.shape[1]), 2) - p
+    idx = np.searchsorted(ordered_primes, np.stack([p, q], axis=2))
+    keys = (idx + rows[:, None, None] * ordered_primes.size).ravel()
+    unseen = np.flatnonzero(~seen[keys])
+    first = unseen[np.unique(keys[unseen], return_index=True)[1]]
+    seen[keys[first]] = True
+    return np.bincount(first // 2, minlength=p.size).astype(np.uint8).reshape(p.shape)
+
+
 class TinyGraph:
     """Minimal graph object satisfying the metrics duck type."""
 

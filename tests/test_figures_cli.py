@@ -124,6 +124,28 @@ def test_cli_never_imports_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_never_imports_numpy_ma(tmp_path):
+    """A build with its report, figure 6 and an inline sweep leave numpy.ma
+    unloaded (about 1.3 MB of resident memory in every process)."""
+    code = textwrap.dedent("""\
+        import sys
+        from goldbachnet import cli
+        out = sys.argv[1]
+        assert cli.main(["build", "--alpha", "0", "--max-even", "200",
+                         "--out", out + "/build"]) == 0
+        assert cli.main(["figure", "6", "--max-even", "400", "--realizations", "2",
+                         "--out", out + "/figure"]) == 0
+        assert cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
+                         "--realizations", "2", "--max-even-cap", "20000",
+                         "--out", out + "/sweep"]) == 0
+        assert "numpy.ma" not in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_build_minus_inf_seed_independent(tmp_path):
     outs = []
     for seed in ("1", "123456"):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from goldbachnet import PrimeGraph, build, build_many, build_table, decompose
 from goldbachnet.errors import OutOfRange, SieveExhausted
 from goldbachnet.figures import figure_tables
-from goldbachnet.netbuild import _build_rows, _chunk_picks, _picker, _share_table
+from goldbachnet.netbuild import (_build_rows, _chunk_picks, _new_endpoints, _picker,
+                                  _share_table)
 
-from oracles import pick_index
+from oracles import new_endpoints_by_search, pick_index
 
 INF = math.inf
 
@@ -506,9 +507,34 @@ def test_pick_stable_at_extreme_alpha(table_30k):
     assert (top >= 0.9 * d.delta.max()).all()
 
 
+def test_new_endpoints_match_the_search_oracle(table_30k):
+    """Counting new endpoints on the picked prime indices equals searching
+    each endpoint in the ordered primes, in counts and in the cells marked,
+    on chunks over some of the rows, partly seen before."""
+    primes = table_30k.ordered_primes
+    rng = np.random.default_rng(20260808)
+    groups = [(-INF, 0, 2), (-2.5, 2, 4), (0.0, 4, 6), (INF, 6, 8)]
+    for _ in range(12):
+        j, size = int(rng.integers(0, 14_000)), int(rng.integers(1, 257))
+        rows = np.sort(rng.choice(10, size=8, replace=False))
+        idx = _chunk_picks(table_30k, j, size, groups, rng.random((8, size)))
+        evens = np.arange(8 + 2 * j, 8 + 2 * (j + size), 2)
+        assert idx.dtype == np.int32 and idx.shape == (8, size, 2)
+        assert (primes[idx[..., 0]] + primes[idx[..., 1]] == evens).all()
+        seen = rng.random((10, primes.size)) < rng.choice([0.0, 0.05, 0.5], (10, 1))
+        expected_seen = seen.copy().ravel()
+        expected = new_endpoints_by_search(primes, expected_seen, rows, j,
+                                           primes[idx[..., 0]])
+        new = _new_endpoints(seen, rows, idx)
+        assert new.dtype == np.uint8
+        assert np.array_equal(new, expected)
+        assert np.array_equal(seen.ravel(), expected_seen)
+
+
 def test_grid_build_memory_stays_bounded(table_1m):
-    # the six grid alphas at one seed to 4000 nodes: about 6 MB with blocks
-    # of 32 even numbers, about 30 MB with whole 256-even chunks
+    # the six grid alphas at one seed to 4000 nodes: about 6.5 MB with blocks
+    # of 32 even numbers (7.1 MB when run alone, as the first build imports
+    # what numpy loads lazily), about 20 MB with whole 256-even chunks
     tracemalloc.start()
     try:
         build_many(table_1m, (0.0, -1.0, -1.4, -1.8, -2.1, -2.5), [1],
@@ -520,7 +546,7 @@ def test_grid_build_memory_stays_bounded(table_1m):
 
 
 def test_growth_figure_memory_stays_bounded():
-    # 100 rows of 9997 edges in one pass: about 10 MB with 5-byte chunk
+    # 100 rows of 9997 edges in one pass: about 10.2 MB with 5-byte chunk
     # records, 16.4 MB with 12-byte ones, 16.6 MB if the 100 graphs are kept
     tracemalloc.start()
     try:

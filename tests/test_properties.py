@@ -95,6 +95,33 @@ def test_block_picks_equal_the_per_even_oracle(table_1m, n0, width, alpha, seed)
                               pick_index(d.delta[lo:hi], alpha, draws[:, k]))
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(which=st.integers(0, 2), width=st.integers(1, 64), data=st.data())
+def test_decompose_indexes_the_ordered_primes(table_2k, table_30k, table_1m,
+                                              which, width, data):
+    """A block's ip and iq are the int32 positions of p < q in the ordered
+    primes, pair for pair as a per-even scan of the primes finds them."""
+    table = (table_2k, table_30k, table_1m)[which]
+    primes = table.ordered_primes
+    last = (table.limit + 3) // 2 - width + 1  # last even of the block <= limit + 3
+    n0 = 2 * data.draw(st.integers(4, last), label="n0 / 2")
+    d = decompose(table, range(n0, n0 + 2 * width, 2))
+    position = np.full(table.limit + 1, -1)
+    position[primes] = np.arange(primes.size)
+    ip, iq = [], []
+    for n in range(n0, n0 + 2 * width, 2):
+        p = primes[2 * primes < n]
+        p = p[position[n - p] >= 0]
+        ip.append(position[p])
+        iq.append(position[n - p])
+    assert d.ip.dtype == d.iq.dtype == np.int32
+    assert d.counts.tolist() == [a.size for a in ip]
+    assert np.array_equal(d.ip, np.concatenate(ip))
+    assert np.array_equal(d.iq, np.concatenate(iq))
+    assert np.array_equal(primes[d.ip], d.p) and np.array_equal(primes[d.iq], d.q)
+    assert (d.ip < d.iq).all()
+
+
 def _pairs(n):
     return (st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
             .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))))
