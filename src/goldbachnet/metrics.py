@@ -97,8 +97,8 @@ def _degrees(adj):
     return np.diff(adj[0])  # int64: k**3 overflows int32 above 1290
 
 
-def _component_sizes(adj):
-    """``bincount`` of component labels, by minimum-label propagation.
+def _component_labels(adj):
+    """Smallest node of each node's component, by minimum-label propagation.
 
     Each round every node takes the smallest label among itself and its
     neighbors, and pointer jumping follows labels to a fixed point. A label
@@ -115,45 +115,42 @@ def _component_sizes(adj):
         while not np.array_equal(jumped := low[low], low):
             low = jumped
         if np.array_equal(low, labels):
-            return np.bincount(labels)
+            return labels
         labels = low
 
 
-def _bfs_distance_histogram(adj):
+def _bfs_distance_histogram(adj, reach):
     """Count ordered reachable pairs at each hop distance.
 
     Runs breadth-first search from every node, 64 sources at a time: bit s
     of the uint64 at node u says whether source s has reached u. One level
     step unions the frontier bits of every node's neighbors via a single
-    ``bitwise_or.reduceat`` over the CSR layout.
+    ``bitwise_or.reduceat`` over the CSR layout. A pass stops at the level
+    where each source s has reached all ``reach[s]`` nodes of its component.
     """
     indptr, indices = adj
     n, starts = indptr.size - 1, indptr[:-1]
-    isolated = _degrees(adj) == 0
-    any_isolated = bool(isolated.any())
+    isolated = np.flatnonzero(_degrees(adj) == 0)
     # trailing zero sentinel keeps every reduceat offset in bounds; OR-ing an
     # extra 0 into the final segment is a no-op, and the garbage produced for
     # empty segments (isolated nodes) is zeroed below
     vals = np.zeros(indices.size + 1, dtype=np.uint64)
     counts = np.zeros(8, dtype=np.int64)
-    one = np.uint64(1)
     for base in range(0, n, 64):
         width = min(64, n - base)
+        unreached = int(reach[base:base + width].sum())
         visited = np.zeros(n, dtype=np.uint64)
-        sources = np.arange(base, base + width)
-        visited[sources] = one << np.arange(width, dtype=np.uint64)
+        visited[base:base + width] = 1 << np.arange(width, dtype=np.uint64)
         frontier = visited.copy()
         level = 0
-        while True:
+        while unreached > 0:
             level += 1
             np.take(frontier, indices, out=vals[:-1])
             nxt = np.bitwise_or.reduceat(vals, starts)
-            if any_isolated:
-                nxt[isolated] = 0
+            nxt[isolated] = 0
             fresh = nxt & ~visited
             reached = int(np.bitwise_count(fresh).sum())
-            if reached == 0:
-                break
+            unreached -= reached
             if level >= counts.size:
                 counts = np.concatenate([counts, np.zeros(counts.size, np.int64)])
             counts[level] += reached
@@ -166,14 +163,15 @@ def _distance_stats(adj):
     n = adj[0].size - 1
     if n < 2:
         raise DegenerateGraph(f"need at least 2 nodes, have {n}")
-    sizes = _component_sizes(adj)
+    labels = _component_labels(adj)
+    sizes = np.bincount(labels)
     giant = int(sizes.max())
     reachable_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     total_pairs = n * (n - 1) // 2
     if reachable_pairs == 0:
         raise DegenerateGraph("no connected pair of nodes")
 
-    counts = _bfs_distance_histogram(adj)
+    counts = _bfs_distance_histogram(adj, sizes[labels] - 1)
     pair_counts = counts // 2  # every unordered pair was seen from both ends
     total = int(pair_counts.sum())
     js = np.flatnonzero(pair_counts)

@@ -72,6 +72,35 @@ def new_endpoints_by_search(ordered_primes, seen, rows, j, p):
     return np.bincount(first // 2, minlength=p.size).astype(np.uint8).reshape(p.shape)
 
 
+def gnm_by_set(n, m, seed):
+    """Edges ``(u, v)`` (int64, u < v) of the G(n, m) sample for ``seed``:
+    candidate pairs stream from the seeded generator in rounds of two
+    ``integers`` draws, and the first m distinct ones are kept through a
+    Python set, one candidate at a time."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    seen = set()
+    us = []
+    vs = []
+    while len(us) < m:
+        k = max(256, 4 * (m - len(us)))
+        a = rng.integers(0, n, size=k)
+        b = rng.integers(0, n, size=k)
+        for x, y in zip(a.tolist(), b.tolist()):
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            key = x * n + y
+            if key in seen:
+                continue
+            seen.add(key)
+            us.append(x)
+            vs.append(y)
+            if len(us) == m:
+                break
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
 class TinyGraph:
     """Minimal graph object satisfying the metrics duck type."""
 

@@ -1,8 +1,10 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import gnm_by_set
 
 from goldbachnet import baseline_report, sample_gnm
 from goldbachnet.errors import InfeasibleNullModel
@@ -29,6 +31,25 @@ def test_infeasible():
         sample_gnm(4, -1, seed=1)
     with pytest.raises(ValueError, match="^need at least 2 nodes, got 1$"):
         sample_gnm(1, 0, seed=1)
+
+
+@pytest.mark.parametrize("n, packed", [(2**22, True), (2**29, False),
+                                       (3_037_000_500, False)])
+def test_large_n_matches_oracle_on_either_sort_path(n, packed):
+    # n**2 shifted by the 9 position bits of a 256-candidate round fits 63
+    # bits at n = 2**22 only; above it the keys take a stable argsort
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        for seed in (0, 7, 2**64 - 1):
+            g = sample_gnm(n, 10, seed)
+            u, v = gnm_by_set(n, 10, seed)
+            assert np.array_equal(g.edge_u, u) and np.array_equal(g.edge_v, v)
+    assert argsort.called is not packed
+
+
+def test_pair_keys_beyond_int64_are_refused():
+    with pytest.raises(ValueError, match="^pair keys fit int64 up to 3037000500 "
+                                         "nodes, got 3037000501$"):
+        sample_gnm(3_037_000_501, 1, seed=1)
 
 
 def test_determinism_and_simplicity():

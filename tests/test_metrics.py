@@ -263,13 +263,38 @@ def test_distance_matches_networkx_at_realistic_size(table_1m):
 def test_component_sizes_match_networkx():
     nx = pytest.importorskip("networkx")
     g = sample_gnm(3000, 1200, 11)  # mean degree 0.8
-    ref = sorted(len(c) for c in nx.connected_components(_networkx_graph(nx, g)))
+    components = list(nx.connected_components(_networkx_graph(nx, g)))
+    ref = sorted(len(c) for c in components)
     assert ref.count(1) > 1000 and len(ref) > 1500 and ref[-1] > 10
-    sizes = metrics._component_sizes(metrics._adjacency(g))
+    labels = metrics._component_labels(metrics._adjacency(g))
+    assert all(set(labels[list(c)].tolist()) == {min(c)} for c in components)
+    sizes = np.bincount(labels)
     assert sorted(sizes[sizes > 0].tolist()) == ref
     report = compute_report(g)
     assert report.giant_component_size == ref[-1]
     assert report.reachable_fraction == sum(s * (s - 1) for s in ref) / (3000 * 2999)
+
+
+def test_distance_matches_networkx_on_disconnected_graph():
+    # each BFS pass stops once its sources reach their components, so check
+    # the histogram where components and isolated nodes of every size mix
+    nx = pytest.importorskip("networkx")
+    g = sample_gnm(3000, 2400, 5)  # mean degree 1.6
+    ref = _networkx_graph(nx, g)
+    sizes = sorted(len(c) for c in nx.connected_components(ref))
+    assert sizes.count(1) > 500 and sizes.count(2) > 50 and sizes[-1] > 1500
+    hops = Counter()
+    for _, lengths in nx.all_pairs_shortest_path_length(ref):
+        hops.update(lengths.values())
+    del hops[0]
+    pairs = sum(hops.values())
+    assert pairs == sum(s * (s - 1) for s in sizes)
+    d, p_of_j, rf, giant = shortest_distance_stats(g)
+    assert d == pytest.approx(sum(j * c for j, c in hops.items()) / pairs,
+                              rel=1e-12)
+    assert p_of_j == pytest.approx({j: c / pairs for j, c in hops.items()},
+                                   rel=1e-12)
+    assert (rf, giant) == (pairs / (3000 * 2999), sizes[-1])
 
 
 @pytest.mark.parametrize("alpha, n", [(-2.5, 4000), (2.0, 5000)])

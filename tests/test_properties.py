@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (TinyGraph, floyd_warshall_stats, newman_r, per_node_clustering,
-                     pick_index)
+from oracles import (TinyGraph, floyd_warshall_stats, gnm_by_set, newman_r,
+                     per_node_clustering, pick_index)
 
-from goldbachnet import (build_many, compute_report, decompose,
+from goldbachnet import (baseline, build_many, compute_report, decompose,
                          metrics, sample_gnm)
 from goldbachnet.netbuild import _picker
 
@@ -228,10 +228,12 @@ def test_assortativity_matches_newman_oracle(graph):
 
 @st.composite
 def gnm_args(draw):
-    n = draw(st.integers(2, 30))
-    most = n * (n - 1) // 2
-    m = draw(st.one_of(st.just(most), st.integers(0, most)))
-    return n, m, draw(st.integers(0, 2**64 - 1))
+    n = draw(st.one_of(st.integers(2, 100), st.integers(2, 5000)))
+    most = n * (n - 1) // 2 if n <= 100 else 3000  # complete graphs stay small
+    m = draw(st.one_of(st.just(0), st.just(most), st.integers(0, most)))
+    seed = draw(st.one_of(st.sampled_from((0, 7, 2**64 - 1)),
+                          st.integers(0, 2**64 - 1)))
+    return n, m, seed
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -243,3 +245,21 @@ def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(args):
     assert u.size == v.size == m
     assert ((0 <= u) & (u < v) & (v < n)).all()
     assert np.unique(u * n + v).size == m
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(args=gnm_args())
+@example(args=(2, 0, 7))
+@example(args=(2, 1, 0))
+@example(args=(100, 4950, 2**64 - 1))
+@pytest.mark.parametrize("sort_bits", [63, 0], ids=["packed", "argsort"])
+def test_sample_gnm_equals_set_oracle(args, sort_bits):
+    """The sort-based sampler keeps the same pairs, in the same order and
+    dtype, as the one-candidate-at-a-time set loop, on the packed-key path
+    and on the stable-argsort path that large n takes."""
+    n, m, seed = args
+    with mock.patch.object(baseline, "_SORT_BITS", sort_bits):
+        g = sample_gnm(n, m, seed)
+    u, v = gnm_by_set(n, m, seed)
+    assert g.edge_u.dtype == u.dtype and g.edge_v.dtype == v.dtype
+    assert np.array_equal(g.edge_u, u) and np.array_equal(g.edge_v, v)
