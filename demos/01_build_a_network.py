@@ -20,14 +20,16 @@ for n in (8, 10, 24, 100):
 g = build(table, 0.0, 2024, max_even=2_000)
 print(f"\nbuilt {g!r}")
 
-# One link per even number, nodes appear on first use.
-print("first five edges (p, q, source even):", g.edges[:5])
+# One link per even number, nodes appear on first use. Edge i joins
+# p = edge_p[i] and q = n - p of its source even n = 8 + 2i.
+print("first five edges (p, q, source even):",
+      list(zip(*(a[:5].tolist() for a in (g.edge_p, g.edge_q, g.edge_even)))))
 print("growth after 1, 10, 100, 997 links:",
-      [(int(m), int(n)) for m, n in g.growth_log[[0, 9, 99, 996]]])
+      [(m, int(g.node_count_history[m - 1])) for m in (1, 10, 100, 997)])
 
 # The same arguments always rebuild the identical network.
 again = build(table, 0.0, 2024, max_even=2_000)
-assert g.edges == again.edges
+assert g.edge_p.tolist() == again.edge_p.tolist()
 
 # Plain-text export: header plus one "p q n" line per edge.
 g.write_edge_list("demo_network.txt")

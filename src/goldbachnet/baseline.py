@@ -27,12 +27,8 @@ class GnmGraph:
     def num_edges(self):
         return int(self.edge_u.size)
 
-    @property
-    def node_labels(self):
-        return np.arange(self.num_nodes, dtype=np.int64)
-
-    def edge_endpoints(self):
-        return self.edge_u, self.edge_v
+    def edge_rows(self):
+        return self.num_nodes, self.edge_u, self.edge_v
 
 
 def sample_gnm(n_nodes, m_edges, seed):

@@ -24,7 +24,7 @@ from .errors import GoldbachNetError
 from .ensemble import SweepSpec, run_sweep
 from .figures import DEFAULT_MAX_EVEN_CAP, FIGURE_DEFAULTS, alpha_label, figure_tables
 from .metrics import CLUSTERING_CONVENTIONS, compute_report
-from .netbuild import build, check_run, check_seed
+from .netbuild import _check_even_bound, build, check_run, check_seed
 from .primes import build_table
 
 
@@ -67,9 +67,10 @@ def write_csv(path, header, rows):
 
 
 def _write_json(path, doc):
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # streamed: joining the indented text first set a sweep's peak RSS
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sha256(path):
@@ -112,6 +113,7 @@ def _cmd_build(args):
     check_run(args.alpha, (args.max_even, args.target_nodes))  # before the sieve
     if args.max_even is not None and args.max_even_cap != DEFAULT_MAX_EVEN_CAP:
         raise ValueError("build with max_even does not read max_even_cap")
+    _check_even_bound(args.max_even_cap, "max_even_cap")
     check_seed(args.seed)
     table = build_table(args.max_even if args.max_even is not None
                         else args.max_even_cap)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .baseline import baseline_report
 from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
-from .netbuild import _build_rows, _share_table, check_run, check_seed
+from .netbuild import (_build_rows, _check_even_bound, _share_table, check_run,
+                       check_seed)
 from .primes import build_table
 
 SEED_RULE = (
@@ -59,14 +60,14 @@ class SweepSpec:
         if not snaps or any(b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot_nodes must be nonempty, strictly increasing")
         object.__setattr__(self, "snapshot_nodes", snaps)
-        alphas = tuple(check_run(a, (None, snaps[-1])) for a in self.alphas)
+        # every snapshot is a node-count target; the first is the smallest
+        alphas = tuple(check_run(a, (None, snaps[0])) for a in self.alphas)
         if not alphas:
             raise ValueError("alphas must be nonempty")
         object.__setattr__(self, "alphas", alphas)
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if self.max_even_cap < 8 or self.max_even_cap % 2:
-            raise ValueError("max_even_cap must be even and >= 8")
+        _check_even_bound(self.max_even_cap, "max_even_cap")
         check_seed(self.master_seed, "master_seed")
         if self.clustering not in CLUSTERING_CONVENTIONS:
             raise ValueError(f"unknown clustering convention {self.clustering!r}")
@@ -283,6 +284,8 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     """
     max_even = int(max_even)
     alphas = [check_run(a, (max_even, None)) for a in np.ravel(alphas)]
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     check_seed(master_seed, "master_seed")

@@ -173,7 +173,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
     for name, (value, default) in unread.items():
         if value != default:
             raise ValueError(f"figure {figure_id} does not read {name}")
-    alphas = tuple(float(a) for a in (alphas or preset["alphas"]))
+    alphas = tuple(float(a) for a in (preset["alphas"] if alphas is None else alphas))
     realizations = int(realizations) if realizations is not None else 20
 
     if "max_even" in preset:
@@ -186,7 +186,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
 
     spec = SweepSpec(
         alphas=alphas,
-        snapshot_nodes=tuple(int(s) for s in (snapshots or preset["snapshots"])),
+        snapshot_nodes=preset["snapshots"] if snapshots is None else snapshots,
         realizations=realizations,
         master_seed=master_seed,
         max_even_cap=max_even_cap,

@@ -1,10 +1,11 @@
 """Per-graph statistics: distances, clustering, degrees, assortativity.
 
-All functions accept any graph object exposing ``node_labels`` (sorted
-array of distinct labels) and ``edge_endpoints()`` (two parallel label
-arrays, one entry per undirected edge). Distances are averaged over
-reachable pairs only, with the reachable fraction reported alongside so
-that disconnected graphs are never silently mixed into connected ones.
+All functions accept any graph object whose ``edge_rows()`` returns
+``(N, u, v)``: its node count and two parallel integer arrays holding the
+endpoints of each undirected edge as rows 0..N-1, so each graph numbers
+its own nodes. Distances are averaged over reachable pairs only, with the
+reachable fraction reported alongside so that disconnected graphs are
+never silently mixed into connected ones.
 """
 
 from dataclasses import dataclass
@@ -75,17 +76,13 @@ class MetricsReport:
 
 def _adjacency(graph):
     """Symmetric adjacency of ``graph`` as one int64 CSR ``(indptr,
-    indices)``, columns ascending in each row; row i is ``node_labels[i]``.
+    indices)`` over its ``edge_rows``, columns ascending in each row.
 
     Every kernel reads the node count, degrees and edge count off it;
     int64 spares the BFS an index conversion on every level.
     """
-    labels = graph.node_labels
-    n = labels.size
-    u, v = graph.edge_endpoints()
-    eu = np.searchsorted(labels, u)
-    ev = np.searchsorted(labels, v)
-    keys = np.concatenate([eu * n + ev, ev * n + eu])  # row * n + col
+    n, u, v = graph.edge_rows()
+    keys = np.concatenate([u * n + v, v * n + u])  # row * n + col
     keys.sort()
     rows, indices = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)

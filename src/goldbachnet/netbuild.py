@@ -27,6 +27,13 @@ _BLOCK = 32
 _worker_table = None  # a pool worker's sieve, set by its initializer _share_table
 
 
+def _check_even_bound(bound, name):
+    """Raise ValueError unless ``bound``, the largest even number a build may
+    consume, is even and >= 8."""
+    if bound < 8 or bound % 2:
+        raise ValueError(f"{name} must be even and >= 8, got {bound}")
+
+
 def check_run(alpha, stop):
     """Validate a spread exponent and a stop rule; return float alpha.
 
@@ -40,8 +47,8 @@ def check_run(alpha, stop):
     max_even, target_nodes = stop
     if (max_even is None) == (target_nodes is None):
         raise ValueError("set exactly one of max_even / target_nodes")
-    if max_even is not None and (max_even < 8 or max_even % 2):
-        raise ValueError(f"max_even must be even and >= 8, got {max_even}")
+    if max_even is not None:
+        _check_even_bound(max_even, "max_even")
     if target_nodes is not None and target_nodes < 2:
         raise ValueError(f"target_nodes must be >= 2, got {target_nodes}")
     return alpha
@@ -95,31 +102,20 @@ def _picker(delta, counts):
 class PrimeGraph:
     """Simple undirected graph over primes, with its insertion history.
 
-    Edges are kept in insertion order as parallel ``int32`` arrays
-    (edge_p, edge_q); edge i comes from the even number 8 + 2i, and
-    ``node_count_history[i]`` is the node count after it. Instances are
-    treated as immutable once built.
+    Edge i comes from the even number 8 + 2i and joins the primes
+    ``edge_p[i]`` < ``edge_q[i]`` = 8 + 2i - ``edge_p[i]``, so only the
+    ``int32`` array edge_p is stored; ``node_count_history[i]`` is the node
+    count after edge i. Instances are treated as immutable once built.
     """
 
-    __slots__ = (
-        "edge_p",
-        "edge_q",
-        "node_count_history",
-        "alpha",
-        "seed",
-        "exhausted",
-        "_labels",
-    )
+    __slots__ = ("edge_p", "node_count_history", "alpha", "seed", "exhausted")
 
-    def __init__(self, edge_p, edge_q, node_count_history, alpha, seed,
-                 exhausted=False):
+    def __init__(self, edge_p, node_count_history, alpha, seed, exhausted=False):
         self.edge_p = edge_p
-        self.edge_q = edge_q
         self.node_count_history = node_count_history
         self.alpha = float(alpha)
         self.seed = int(seed)
         self.exhausted = bool(exhausted)
-        self._labels = None
 
     def __repr__(self):
         return (
@@ -141,31 +137,22 @@ class PrimeGraph:
         return 8 + 2 * np.arange(self.num_edges, dtype=np.int64)
 
     @property
+    def edge_q(self):
+        """Larger prime of each edge, ``int32``: its source even minus p."""
+        return np.arange(8, 8 + 2 * self.num_edges, 2, dtype=np.int32) - self.edge_p
+
+    @property
     def node_labels(self):
         """Sorted array of the distinct primes present."""
-        if self._labels is None:
-            # sorted, repeats dropped: np.unique's first call imports numpy.ma
-            labels = np.sort(np.concatenate([self.edge_p, self.edge_q]))
-            self._labels = labels[np.diff(labels, prepend=-1) != 0]
-        return self._labels
+        # sorted, repeats dropped: np.unique's first call imports numpy.ma
+        labels = np.sort(np.concatenate([self.edge_p, self.edge_q]))
+        return labels[np.diff(labels, prepend=-1) != 0]
 
-    @property
-    def edges(self):
-        """Insertion-ordered list of (p, q, source_even) tuples."""
-        return list(
-            zip(self.edge_p.tolist(), self.edge_q.tolist(), self.edge_even.tolist())
-        )
-
-    @property
-    def growth_log(self):
-        """Array of (links, nodes) after each insertion, shape (M, 2)."""
-        m = self.num_edges
-        return np.column_stack(
-            [np.arange(1, m + 1, dtype=np.int64), self.node_count_history]
-        )
-
-    def edge_endpoints(self):
-        return self.edge_p, self.edge_q
+    def edge_rows(self):
+        """(N, u, v): the endpoints of each edge as rows of ``node_labels``."""
+        labels = self.node_labels
+        return (labels.size, labels.searchsorted(self.edge_p),
+                labels.searchsorted(self.edge_q))
 
     def snapshot_at(self, n_star):
         """State at the first moment the node count reached ``n_star``.
@@ -177,13 +164,8 @@ class PrimeGraph:
         if idx >= self.num_edges:
             return None
         m = idx + 1
-        return PrimeGraph(
-            self.edge_p[:m],
-            self.edge_q[:m],
-            self.node_count_history[:m],
-            self.alpha,
-            self.seed,
-        )
+        return PrimeGraph(self.edge_p[:m], self.node_count_history[:m], self.alpha,
+                          self.seed)
 
     def write_edge_list(self, path):
         """Plain-text export: header line, then one "p q n" line per edge."""
@@ -255,8 +237,7 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     def graph(r, exhausted=False):
         p, new = (np.concatenate([rec[x][rec[0].searchsorted(r)] for rec in records])
                   for x in (1, 2))
-        q = np.arange(8, 8 + 2 * p.size, 2, dtype=np.int32) - p
-        return PrimeGraph(p, q, np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
+        return PrimeGraph(p, np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
                           seeds[r % n_seeds], exhausted=exhausted)
 
     def submit(j):

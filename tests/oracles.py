@@ -102,7 +102,8 @@ def gnm_by_set(n, m, seed):
 
 
 class TinyGraph:
-    """Minimal graph object satisfying the metrics duck type."""
+    """Minimal graph object satisfying the metrics duck type: edges between
+    sorted, possibly non-contiguous labels, numbered into rows by search."""
 
     def __init__(self, n_nodes, edges, labels=None):
         if labels is None:
@@ -111,8 +112,9 @@ class TinyGraph:
         self.eu = np.array([e[0] for e in edges], dtype=np.int64)
         self.ev = np.array([e[1] for e in edges], dtype=np.int64)
 
-    def edge_endpoints(self):
-        return self.eu, self.ev
+    def edge_rows(self):
+        labels = self.node_labels
+        return labels.size, labels.searchsorted(self.eu), labels.searchsorted(self.ev)
 
 
 def adjacency_matrix(n, edges):

@@ -228,6 +228,8 @@ def test_growth_curves_shape_and_determinism():
     assert (single.n_std == 0).all()
     with pytest.raises(ValueError):
         growth_curves((1.0,), 500, realizations=0, master_seed=9)
+    with pytest.raises(ValueError, match="^alphas must be nonempty$"):
+        growth_curves([], 500, realizations=1, master_seed=9)
 
 
 def test_growth_curves_of_many_alphas_equal_single_alpha_calls():
@@ -254,6 +256,14 @@ def test_spec_validation():
         SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), realizations=0)
     with pytest.raises(ValueError):
         SweepSpec(alphas=(float("nan"),), snapshot_nodes=(10,))
+    for snaps in ((0, 50), (1,), (-5, 10)):
+        with pytest.raises(ValueError, match="^target_nodes must be >= 2"):
+            SweepSpec(alphas=(0.0,), snapshot_nodes=snaps)
+    assert SweepSpec(alphas=(0.0,), snapshot_nodes=(2, 50)).snapshot_nodes == (2, 50)
+    for cap in (1001, 7, 0):
+        with pytest.raises(ValueError, match=f"^max_even_cap must be even and >= 8, "
+                                             f"got {cap}$"):
+            SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), max_even_cap=cap)
 
 
 def test_spec_rejects_unknown_clustering():

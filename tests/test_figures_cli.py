@@ -185,6 +185,13 @@ BUILD_FLAG_ERRORS = [
      "seed must fit in 64 unsigned bits"),
     (["--alpha=-inf", "--max-even", "600", "--max-even-cap", "5000"],
      "build with max_even does not read max_even_cap"),
+    # the sweep's rule for the sieve bound, checked before the sieve
+    (["--alpha", "0", "--target-nodes", "100", "--max-even-cap", "1001"],
+     "max_even_cap must be even and >= 8, got 1001"),
+    (["--alpha", "0", "--target-nodes", "100", "--max-even-cap", "1"],
+     "max_even_cap must be even and >= 8, got 1"),
+    (["--alpha", "0", "--target-nodes", "100", "--max-even-cap", "7"],
+     "max_even_cap must be even and >= 8, got 7"),
 ]
 
 
@@ -204,6 +211,29 @@ def test_cli_flag_errors_exit_2(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["figure", "11", "--out", str(tmp_path / "z")])
     assert err.value.code == 2
+
+
+def test_cli_empty_lists_and_low_snapshots_exit_2(tmp_path, capsys):
+    """An empty --alphas or --snapshots is an error, not the preset's list,
+    and every snapshot and cap is checked as build checks its own."""
+    cap = ["--max-even-cap", "20000"]
+    for argv, message in (
+            (["figure", "6", "--alphas", ",", "--max-even", "200"],
+             "alphas must be nonempty"),
+            (["figure", "10", "--alphas", ",", "--snapshots", "50", *cap],
+             "alphas must be nonempty"),
+            (["figure", "10", "--snapshots", ",", *cap],
+             "snapshot_nodes must be nonempty, strictly increasing"),
+            (["sweep", "--alphas", "0", "--snapshots", "0,50", *cap],
+             "target_nodes must be >= 2, got 0"),
+            (["sweep", "--alphas", "0", "--snapshots", "1", *cap],
+             "target_nodes must be >= 2, got 1"),
+            (["sweep", "--alphas", "0", "--snapshots", "50", "--max-even-cap", "1001"],
+             "max_even_cap must be even and >= 8, got 1001")):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_cli_runtime_error_exit_3(tmp_path, capsys):

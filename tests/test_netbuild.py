@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -57,17 +58,19 @@ def test_selection_frequencies_3sigma(table_2k):
 
 def test_build_first_even_only(table_2k):
     g = build(table_2k, 0.0, 1, max_even=8)
-    assert g.edges == [(3, 5, 8)]
+    assert (g.edge_p.tolist(), g.edge_q.tolist(), g.edge_even.tolist()) == (
+        [3], [5], [8])
     assert g.node_labels.tolist() == [3, 5]
     assert (g.num_edges, g.num_nodes) == (1, 2)
-    assert g.growth_log.tolist() == [[1, 2]]
+    assert g.node_count_history.tolist() == [2]  # 2 nodes after 1 link
 
 
 @pytest.mark.parametrize("alpha", [-INF, -1.0, 0.0, 2.5, INF])
 def test_build_forced_edges_up_to_12(table_2k, alpha):
     # every even number <= 12 has a single pair, so alpha cannot matter
     g = build(table_2k, alpha, 99, max_even=12)
-    assert g.edges == [(3, 5, 8), (3, 7, 10), (5, 7, 12)]
+    assert (g.edge_p.tolist(), g.edge_q.tolist(), g.edge_even.tolist()) == (
+        [3, 3, 5], [5, 7, 7], [8, 10, 12])
     assert (g.num_nodes, g.num_edges) == (3, 3)
 
 
@@ -346,10 +349,28 @@ def test_graphs_store_int32_and_derive_source_evens(table_2k):
     g = build_many(table_2k, (0.0, INF), [1], max_even=2000)[0]
     for arr in (g.edge_p, g.edge_q, g.node_count_history):
         assert arr.dtype == np.int32
+    assert PrimeGraph.__slots__ == ("edge_p", "node_count_history", "alpha", "seed",
+                                    "exhausted")
     assert "edge_even" not in PrimeGraph.__slots__
+    assert "edge_q" not in PrimeGraph.__slots__
     assert g.edge_even.tolist() == list(range(8, 2001, 2))
+    assert np.array_equal(g.edge_q, g.edge_even - g.edge_p)
     sub = g.snapshot_at(100)
     assert sub.edge_even.tolist() == g.edge_even[:sub.num_edges].tolist()
+    # the metrics read each prime as its row in node_labels
+    n, u, v = g.edge_rows()
+    labels = g.node_labels
+    assert n == labels.size == g.num_nodes and (np.diff(labels) > 0).all()
+    assert np.array_equal(labels[u], g.edge_p) and np.array_equal(labels[v], g.edge_q)
+
+
+def test_pickled_snapshot_ships_8_bytes_per_edge(table_30k):
+    # what a metrics task sends a worker: int32 p and node counts per edge
+    g = build(table_30k, 0.0, 5, max_even=20_000)
+    for n_star in (300, 1000, 2000):
+        sub = g.snapshot_at(n_star)
+        assert sub.num_edges > 1000
+        assert len(pickle.dumps(sub)) <= 8 * sub.num_edges + 1024
 
 
 def test_growth_log_and_edge_accounting(table_30k):

@@ -241,7 +241,8 @@ def gnm_args(draw):
 def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(args):
     n, m, seed = args
     g = sample_gnm(n, m, seed)
-    u, v = g.edge_endpoints()
+    n_rows, u, v = g.edge_rows()
+    assert n_rows == n and np.array_equal(u, g.edge_u) and np.array_equal(v, g.edge_v)
     assert u.size == v.size == m
     assert ((0 <= u) & (u < v) & (v < n)).all()
     assert np.unique(u * n + v).size == m
