@@ -60,10 +60,11 @@ _CELL_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}  # else _fm
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(str(h) for h in header)]
     fmt = _CELL_FORMATS.get
-    lines.extend(",".join([fmt(type(c), _fmt_cell)(c) for c in row]) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: joined text set peak RSS
+        fh.write(",".join(str(h) for h in header) + "\n")
+        fh.writelines(",".join([fmt(type(c), _fmt_cell)(c) for c in row]) + "\n"
+                      for row in rows)
 
 
 def _write_json(path, doc):

@@ -228,19 +228,23 @@ def run_sweep(spec, workers=1):
     One construction pass builds every row, and the metrics of each (row,
     snapshot) are one task, started as soon as the row reaches it. With
     ``workers`` > 1, one pool created before construction runs both the
-    construction chunks and the metrics tasks. The result is a
-    deterministic function of ``spec`` alone: cells are folded in
+    construction chunks and the metrics tasks, at most 2 * ``workers`` of
+    them in flight: snapshots wait in construction, not in the pool. The
+    result is a deterministic function of ``spec`` alone: cells are folded in
     (alpha, snapshot) order, realizations in order within each cell.
     """
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
-    measured, exhausted = {}, {}
+    measured, exhausted, in_flight = {}, {}, []
     with _sieve_and_pool(spec.max_even_cap, workers) as (table, pool):
         for row, si, sub in _build_rows(table, spec.alphas, seeds, None,
                                         spec.snapshot_nodes, pool):
             if si == len(spec.snapshot_nodes):
                 exhausted[row] = f"N={sub.num_nodes}, M={sub.num_edges}"
             elif pool:
-                measured[row, si] = pool.submit(_measure, spec, row, si, sub)
+                if len(in_flight) == 2 * workers:
+                    in_flight.pop(0).result()
+                in_flight.append(pool.submit(_measure, spec, row, si, sub))
+                measured[row, si] = in_flight[-1]
             else:
                 measured[row, si] = _measure(spec, row, si, sub)
         if pool:

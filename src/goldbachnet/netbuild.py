@@ -23,6 +23,8 @@ from .goldbach import decompose
 # pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
 _CHUNK = 256
 _BLOCK = 32
+# the log of an int64 spread is below 44, so alpha * log(delta) stays finite
+_ALPHA_MAX = np.finfo(np.float64).max / 64
 
 _worker_table = None  # a pool worker's sieve, set by its initializer _share_table
 
@@ -44,6 +46,8 @@ def check_run(alpha, stop):
     alpha = float(alpha)
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
+    if abs(alpha) > _ALPHA_MAX and math.isfinite(alpha):
+        raise ValueError(f"finite |alpha| must be <= {_ALPHA_MAX:.4g}; use +inf/-inf")
     max_even, target_nodes = stop
     if (max_even is None) == (target_nodes is None):
         raise ValueError("set exactly one of max_even / target_nodes")
@@ -199,14 +203,17 @@ def _chunk_picks(table, j, size, groups, draws):
 
 
 def _new_endpoints(seen, rows, idx):
-    """Uint8 count per edge of its endpoints new to its row; marks the first
-    occurrences, p before q, in ``seen[row, prime index]``. Temporaries die here."""
+    """``(seen, new)``: uint8 count per edge of its endpoints new to its row;
+    marks the first occurrences, p before q, in ``seen[row, prime index]``,
+    whose columns double until they cover ``idx``. Temporaries die here."""
+    while idx.max() >= seen.shape[1]:
+        seen = np.hstack([seen, np.zeros_like(seen)])
     keys = (idx + rows[:, None, None] * seen.shape[1]).ravel()
     unseen = np.flatnonzero(~seen.take(keys))
     first = unseen[np.unique(keys[unseen], return_index=True)[1]]
     seen.put(keys[first], True)
-    return (np.bincount(first // 2, minlength=keys.size // 2)
-            .astype(np.uint8).reshape(idx.shape[:2]))
+    return seen, (np.bincount(first // 2, minlength=keys.size // 2)
+                  .astype(np.uint8).reshape(idx.shape[:2]))
 
 
 def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
@@ -219,8 +226,9 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     set up by ``_share_table(table)`` runs ``_chunk_picks`` with one more
     chunk in flight than it has workers: chunk uniforms are drawn here, in
     order, for the rows active at submission; picks of rows since stopped
-    are cut. A chunk's record holds every active row: 5 bytes per edge,
-    int32 p and uint8 new endpoints, all dropped when the last row stops.
+    are cut. A chunk's record holds every active row: 3 bytes per edge, p's
+    prime index (uint16 below a cap of about 1.6e6) and uint8 new endpoints,
+    all dropped when the last row stops.
     """
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
             for s in seeds]
@@ -229,15 +237,18 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     target = marks[-1] if marks else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
-    seen = np.zeros((n_rows, table.n_primes), dtype=bool)
+    # p is at most half the last even, so its index fits the count of such primes
+    index_type = np.min_scalar_type(np.sum(table.ordered_primes <= table.limit // 2))
+    seen = np.zeros((n_rows, _CHUNK), dtype=bool)  # grows with the picked primes
     count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
     active = np.arange(n_rows)
-    records = [(active, *np.zeros((2, n_rows, 0), dtype=np.int32))]  # (rows, p, new)
+    records = [(active, *np.zeros((2, n_rows, 0), dtype=index_type))]  # (rows, ip, new)
 
     def graph(r, exhausted=False):
-        p, new = (np.concatenate([rec[x][rec[0].searchsorted(r)] for rec in records])
-                  for x in (1, 2))
-        return PrimeGraph(p, np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
+        ip, new = (np.concatenate([rec[x][rec[0].searchsorted(r)] for rec in records])
+                   for x in (1, 2))
+        return PrimeGraph(table.ordered_primes[ip].astype(np.int32),
+                          np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
                           seeds[r % n_seeds], exhausted=exhausted)
 
     def submit(j):
@@ -259,9 +270,8 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     while active.size and pending:
         j, rows, picks = pending.popleft()
         idx = picks()[np.searchsorted(rows, active)]
-        new = _new_endpoints(seen, active, idx)
-        p = table.ordered_primes[idx[..., 0]].astype(np.int32)
-        records.append((active, p, new))
+        seen, new = _new_endpoints(seen, active, idx)
+        records.append((active, idx[..., 0].astype(index_type), new))
         count[active] += new.sum(axis=1, dtype=np.int64)
         for r in active.tolist():
             while reached[r] < len(marks) and count[r] >= marks[reached[r]]:

@@ -1,4 +1,6 @@
+import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from goldbachnet import (
     realization_seed,
     run_sweep,
 )
+from goldbachnet import ensemble
 from goldbachnet.ensemble import SEED_RULE
 from goldbachnet.metrics import MetricsReport as MR
+
+ALPHA_TOO_LARGE = r"^finite \|alpha\| must be <= 2.809e\+306; use \+inf/-inf$"
 
 
 def _report(d=2.0, p_of_j=None, r=0.1):
@@ -175,6 +180,31 @@ def test_run_sweep_with_look_ahead_matches_reference():
     assert len(doc["warnings"]) == 2
 
 
+def test_run_sweep_bounds_the_metrics_tasks_in_flight(monkeypatch):
+    outstanding, measures = [], []
+
+    class RecordingPool(ProcessPoolExecutor):
+        """Notes, at each ``_measure`` task submitted, how many are not done
+        yet, the new one included."""
+
+        def submit(self, fn, *args):
+            if fn is not ensemble._measure:
+                return super().submit(fn, *args)
+            outstanding.append(1 + sum(not task.done() for task in measures))
+            measures.append(super().submit(fn, *args))
+            return measures[-1]
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    # one 256-even chunk takes every row past several snapshots at once
+    spec = SweepSpec(alphas=(0.0, -2.5), snapshot_nodes=(25, 50, 100, 200, 400),
+                     realizations=4, master_seed=5, max_even_cap=20_000)
+    pooled = run_sweep(spec, workers=2)
+    assert len(outstanding) == 2 * 4 * 5
+    assert max(outstanding) <= 2 * 2, outstanding
+    assert (json.dumps(pooled.to_json_dict())
+            == json.dumps(run_sweep(spec, workers=1).to_json_dict()))
+
+
 def test_run_sweep_absent_cells_and_warnings():
     spec = SweepSpec(alphas=(0.0,), snapshot_nodes=(50, 10_000),
                      realizations=2, master_seed=3, max_even_cap=2_000)
@@ -230,6 +260,9 @@ def test_growth_curves_shape_and_determinism():
         growth_curves((1.0,), 500, realizations=0, master_seed=9)
     with pytest.raises(ValueError, match="^alphas must be nonempty$"):
         growth_curves([], 500, realizations=1, master_seed=9)
+    for alpha in (1e308, -1e308):
+        with pytest.raises(ValueError, match=ALPHA_TOO_LARGE):
+            growth_curves((0.0, alpha), 500, realizations=1, master_seed=9)
 
 
 def test_growth_curves_of_many_alphas_equal_single_alpha_calls():
@@ -256,6 +289,11 @@ def test_spec_validation():
         SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), realizations=0)
     with pytest.raises(ValueError):
         SweepSpec(alphas=(float("nan"),), snapshot_nodes=(10,))
+    for alpha in (1e308, -1e308, 2.9e306):
+        with pytest.raises(ValueError, match=ALPHA_TOO_LARGE):
+            SweepSpec(alphas=(0.0, alpha), snapshot_nodes=(10,))
+    huge = (-math.inf, -2.8e306, 2.8e306, math.inf)
+    assert SweepSpec(alphas=huge, snapshot_nodes=(10,)).alphas == huge
     for snaps in ((0, 50), (1,), (-5, 10)):
         with pytest.raises(ValueError, match="^target_nodes must be >= 2"):
             SweepSpec(alphas=(0.0,), snapshot_nodes=snaps)

@@ -171,11 +171,15 @@ def test_cli_build_rerun_byte_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
+ALPHA_ERROR = "finite |alpha| must be <= 2.809e+306; use +inf/-inf"
 BUILD_FLAG_ERRORS = [
     (["--alpha", "0", "--max-even", "1"], "max_even must be even and >= 8, got 1"),
     (["--alpha", "0", "--max-even", "7"], "max_even must be even and >= 8, got 7"),
     (["--alpha", "0", "--target-nodes", "1"], "target_nodes must be >= 2, got 1"),
     (["--alpha", "nan", "--max-even", "100"], "alpha must not be NaN"),
+    # alpha * log(spread) would overflow to NaN weights
+    (["--alpha", "1e308", "--max-even", "100"], ALPHA_ERROR),
+    (["--alpha=-1e308", "--target-nodes", "100"], ALPHA_ERROR),
     (["--alpha", "0", "--max-even", "100", "--target-nodes", "10"],
      "set exactly one of max_even / target_nodes"),
     (["--alpha", "0"], "set exactly one of max_even / target_nodes"),
@@ -229,7 +233,11 @@ def test_cli_empty_lists_and_low_snapshots_exit_2(tmp_path, capsys):
             (["sweep", "--alphas", "0", "--snapshots", "1", *cap],
              "target_nodes must be >= 2, got 1"),
             (["sweep", "--alphas", "0", "--snapshots", "50", "--max-even-cap", "1001"],
-             "max_even_cap must be even and >= 8, got 1001")):
+             "max_even_cap must be even and >= 8, got 1001"),
+            (["sweep", "--alphas", "0,1e308", "--snapshots", "50", *cap],
+             ALPHA_ERROR),
+            (["figure", "6", "--alphas=-1e308", "--max-even", "200"],
+             ALPHA_ERROR)):
         out = tmp_path / argv[0]
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -528,10 +528,21 @@ def test_pick_stable_at_extreme_alpha(table_30k):
     assert (top >= 0.9 * d.delta.max()).all()
 
 
+def test_largest_finite_alpha_builds_the_infinite_graphs(table_30k):
+    # at the largest |alpha| check_run accepts, alpha * log(delta) stays
+    # finite, and all the weight of each even falls on its extreme spread
+    with np.errstate(over="raise", invalid="raise"):
+        for alpha in (2.8e306, -2.8e306):
+            finite = build(table_30k, alpha, 5, max_even=20_000)
+            limit = build(table_30k, math.copysign(INF, alpha), 5, max_even=20_000)
+            assert np.array_equal(finite.edge_p, limit.edge_p)
+
+
 def test_new_endpoints_match_the_search_oracle(table_30k):
     """Counting new endpoints on the picked prime indices equals searching
     each endpoint in the ordered primes, in counts and in the cells marked,
-    on chunks over some of the rows, partly seen before."""
+    on chunks over some of the rows, partly seen before, and while ``seen``
+    doubles its columns to cover the chunks' prime indices."""
     primes = table_30k.ordered_primes
     rng = np.random.default_rng(20260808)
     groups = [(-INF, 0, 2), (-2.5, 2, 4), (0.0, 4, 6), (INF, 6, 8)]
@@ -546,16 +557,31 @@ def test_new_endpoints_match_the_search_oracle(table_30k):
         expected_seen = seen.copy().ravel()
         expected = new_endpoints_by_search(primes, expected_seen, rows, j,
                                            primes[idx[..., 0]])
-        new = _new_endpoints(seen, rows, idx)
+        seen, new = _new_endpoints(seen, rows, idx)
         assert new.dtype == np.uint8
         assert np.array_equal(new, expected)
         assert np.array_equal(seen.ravel(), expected_seen)
+    # chunks at evens 8-518, 608-1118, 4008-4518 and 4208-4718: seen grows
+    # 64 -> 128, -> 256, -> 1024 (twice in one chunk), then holds
+    seen = np.zeros((10, 64), dtype=bool)
+    expected_seen = np.zeros(10 * primes.size, dtype=bool)
+    for j, width in ((0, 128), (300, 256), (2000, 1024), (2100, 1024)):
+        rows = np.sort(rng.choice(10, size=8, replace=False))
+        idx = _chunk_picks(table_30k, j, 256, groups, rng.random((8, 256)))
+        expected = new_endpoints_by_search(primes, expected_seen, rows, j,
+                                           primes[idx[..., 0]])
+        seen, new = _new_endpoints(seen, rows, idx)
+        assert seen.shape == (10, width) and idx.max() < width
+        assert np.array_equal(new, expected)
+        marked = expected_seen.reshape(10, -1)
+        assert np.array_equal(seen, marked[:, :width]) and not marked[:, width:].any()
 
 
 def test_grid_build_memory_stays_bounded(table_1m):
-    # the six grid alphas at one seed to 4000 nodes: about 6.5 MB with blocks
-    # of 32 even numbers (7.1 MB when run alone, as the first build imports
-    # what numpy loads lazily), about 20 MB with whole 256-even chunks
+    # the six grid alphas at one seed to 4000 nodes, run alone: about 5.5 MB
+    # with blocks of 32 even numbers, 3-byte records and a growing seen, 6.3 MB
+    # with 5-byte records and seen over all the sieve's primes, about 20 MB
+    # with whole 256-even chunks
     tracemalloc.start()
     try:
         build_many(table_1m, (0.0, -1.0, -1.4, -1.8, -2.1, -2.5), [1],
@@ -563,16 +589,31 @@ def test_grid_build_memory_stays_bounded(table_1m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    assert peak < 7 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_twenty_seed_build_memory_stays_bounded(table_1m):
+    # one grid cell's construction, 20 rows to 4000 nodes (about 37k edges
+    # each), run alone: about 11.1 MB with 3-byte records and seen grown to
+    # the picked primes, 13.9 MB with 5-byte records and seen over all 78 498
+    # primes of the sieve; the 20 graphs returned hold 5.9 MB of that
+    tracemalloc.start()
+    try:
+        build_many(table_1m, -2.5, range(20), target_nodes=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
 def test_growth_figure_memory_stays_bounded():
-    # 100 rows of 9997 edges in one pass: about 10.2 MB with 5-byte chunk
-    # records, 16.4 MB with 12-byte ones, 16.6 MB if the 100 graphs are kept
+    # 100 rows of 9997 edges in one pass, run alone: about 8.7 MB with 3-byte
+    # chunk records, 10.4 MB with 5-byte ones, 16.4 MB with 12-byte ones,
+    # 16.6 MB if the 100 graphs are kept
     tracemalloc.start()
     try:
         figure_tables(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    assert peak < 10 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
