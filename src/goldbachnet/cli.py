@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
 """
 
 import argparse
-import hashlib
 import json
 import platform
 import sys
@@ -75,6 +74,7 @@ def _write_json(path, doc):
 
 
 def _sha256(path):
+    import hashlib  # on use, so that importing the CLI loads no OpenSSL
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

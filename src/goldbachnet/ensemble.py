@@ -7,7 +7,6 @@ value, and the matched null-model sample for (alpha index a, realization i,
 snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -213,8 +212,10 @@ def _sieve_and_pool(limit, workers):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = build_table(limit)
-    pool = (ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
-            if workers > 1 else None)
+    pool = None
+    if workers > 1:  # the pool stack takes about 2 MB resident: load it only here
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
     try:
         yield table, pool
     finally:

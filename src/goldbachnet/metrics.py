@@ -17,9 +17,9 @@ from .errors import DegenerateGraph, UndefinedAssortativity
 
 CLUSTERING_CONVENTIONS = ("standard", "paper")
 # columns per packed adjacency block and edges per gather in _clustering;
-# together they bound each of its temporaries to about 1 MB
+# together they bound each gathered block to 256 KB
 _TRIANGLE_COLS = 2048
-_TRIANGLE_EDGES = 4096
+_TRIANGLE_EDGES = 1024
 
 
 @dataclass
@@ -82,11 +82,16 @@ def _adjacency(graph):
     int64 spares the BFS an index conversion on every level.
     """
     n, u, v = graph.edge_rows()
-    keys = np.concatenate([u * n + v, v * n + u])  # row * n + col
+    m = u.size
+    keys = np.concatenate([u, v], dtype=np.int64)  # row * n + col, built in place
+    keys *= n
+    keys[:m] += v
+    keys[m:] += u
     keys.sort()
-    rows, indices = np.divmod(keys, n)
+    indices = keys % n
+    keys //= n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
     return indptr, indices
 
 
@@ -130,7 +135,8 @@ def _bfs_distance_histogram(adj, reach):
     isolated = np.flatnonzero(_degrees(adj) == 0)
     # trailing zero sentinel keeps every reduceat offset in bounds; OR-ing an
     # extra 0 into the final segment is a no-op, and the garbage produced for
-    # empty segments (isolated nodes) is zeroed below
+    # empty segments (isolated nodes) is zeroed below. The gather clips: its
+    # columns lie in [0, n) by construction, and mode="raise" buffers ``out``
     vals = np.zeros(indices.size + 1, dtype=np.uint64)
     counts = np.zeros(8, dtype=np.int64)
     for base in range(0, n, 64):
@@ -142,7 +148,7 @@ def _bfs_distance_histogram(adj, reach):
         level = 0
         while unreached > 0:
             level += 1
-            np.take(frontier, indices, out=vals[:-1])
+            np.take(frontier, indices, out=vals[:-1], mode="clip")
             nxt = np.bitwise_or.reduceat(vals, starts)
             nxt[isolated] = 0
             fresh = nxt & ~visited
@@ -182,7 +188,7 @@ def _clustering(adj, convention):
         raise ValueError(f"unknown clustering convention {convention!r}")
     indptr, indices = adj
     n, deg = indptr.size - 1, _degrees(adj)
-    rows = np.repeat(np.arange(n), deg)
+    rows = np.repeat(np.arange(n, dtype=np.int32), deg)  # half the bytes of intp
     # links among the neighbors of i = half the common neighbors summed over
     # the edges at i. Each edge u < v counts its own by popcount over packed
     # adjacency bits, one block of columns and of edges at a time; the sum
@@ -197,10 +203,12 @@ def _clustering(adj, convention):
         np.bitwise_or.at(bits, (rows[inside], cols >> 6), np.uint64(1) << (cols & 63))
         for e in range(0, eu.size, _TRIANGLE_EDGES):
             block = slice(e, e + _TRIANGLE_EDGES)
-            common[block] += np.bitwise_count(bits[eu[block]] & bits[ev[block]]).sum(
-                axis=1, dtype=np.int64)
+            both = bits[eu[block]]
+            both &= bits[ev[block]]
+            common[block] += np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     links_among_neighbors = np.zeros(n, dtype=np.int64)
-    np.add.at(links_among_neighbors, np.concatenate([eu, ev]), np.tile(common, 2))
+    np.add.at(links_among_neighbors, eu, common)
+    np.add.at(links_among_neighbors, ev, common)
     links_among_neighbors //= 2
     possible = deg * (deg - 1 if convention == "standard" else deg + 1) // 2
     c_i = np.zeros(n, dtype=np.float64)

@@ -245,7 +245,8 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     records = [(active, *np.zeros((2, n_rows, 0), dtype=index_type))]  # (rows, ip, new)
 
     def graph(r, exhausted=False):
-        ip, new = (np.concatenate([rec[x][rec[0].searchsorted(r)] for rec in records])
+        at = [rec[0].searchsorted(r) for rec in records]  # r's row in each record
+        ip, new = (np.concatenate([rec[x][i] for rec, i in zip(records, at)])
                    for x in (1, 2))
         return PrimeGraph(table.ordered_primes[ip].astype(np.int32),
                           np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -194,7 +195,8 @@ def test_run_sweep_bounds_the_metrics_tasks_in_flight(monkeypatch):
             measures.append(super().submit(fn, *args))
             return measures[-1]
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # one 256-even chunk takes every row past several snapshots at once
     spec = SweepSpec(alphas=(0.0, -2.5), snapshot_nodes=(25, 50, 100, 200, 400),
                      realizations=4, master_seed=5, max_even_cap=20_000)

@@ -146,6 +146,39 @@ def test_cli_never_imports_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_loads_openssl_and_the_pool_only_when_used(tmp_path):
+    """Importing the CLI loads neither OpenSSL nor the process-pool stack
+    (about 3.5 and 2 MB resident); runs in one process never load the pool,
+    and a pooled sweep still gets it."""
+    code = textwrap.dedent("""\
+        import sys
+        from goldbachnet import cli
+        out = sys.argv[1]
+        pool_modules = ("concurrent.futures.process", "multiprocessing")
+        loaded = [m for m in ("_hashlib",) + pool_modules if m in sys.modules]
+        assert not loaded, loaded
+        assert cli.main(["build", "--alpha", "0", "--max-even", "200",
+                         "--out", out + "/build"]) == 0
+        assert cli.main(["figure", "6", "--max-even", "400", "--realizations", "2",
+                         "--out", out + "/figure"]) == 0
+        assert cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
+                         "--realizations", "2", "--max-even-cap", "20000",
+                         "--workers", "1", "--out", out + "/inline"]) == 0
+        loaded = [m for m in pool_modules if m in sys.modules]
+        assert not loaded, loaded
+        assert cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
+                         "--realizations", "2", "--max-even-cap", "20000",
+                         "--workers", "2", "--out", out + "/pooled"]) == 0
+        assert all(m in sys.modules for m in pool_modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    inline = (tmp_path / "inline" / "sweep.json").read_bytes()
+    assert (tmp_path / "pooled" / "sweep.json").read_bytes() == inline
+
+
 def test_cli_build_minus_inf_seed_independent(tmp_path):
     outs = []
     for seed in ("1", "123456"):

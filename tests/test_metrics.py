@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -326,3 +327,18 @@ def test_degree_and_assortativity_match_networkx(table_1m, alpha):
     assert assortativity(g) == pytest.approx(
         nx.degree_assortativity_coefficient(ref), abs=1e-9
     )
+
+
+def test_report_memory_stays_bounded(table_1m):
+    # the N = 5000 build at the 10**6 cap (M = 48 019), run alone: about 5.2 MB
+    # with the CSR keys built in place, 1024-edge clustering blocks ANDed in
+    # place, int32 rows and one add.at per endpoint array; 6.4 MB with
+    # 4096-edge blocks and add.at over concatenated endpoints
+    graph = build(table_1m, -2.5, 1, target_nodes=5000)
+    tracemalloc.start()
+    try:
+        compute_report(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.8 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"

@@ -248,6 +248,35 @@ def test_sample_gnm_gives_exactly_m_distinct_ordered_pairs(args):
     assert np.unique(u * n + v).size == m
 
 
+def _check_csr(graph):
+    """``_adjacency`` gives int64 columns in [0, n), strictly ascending in
+    each row, over both directions of every edge and nothing else, so the
+    BFS gather may clip instead of checking its bounds."""
+    n, u, v = graph.edge_rows()
+    indptr, indices = metrics._adjacency(graph)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.size == n + 1 and indptr[0] == 0 and indptr[-1] == 2 * u.size
+    assert ((0 <= indices) & (indices < n)).all()
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    assert (np.diff(keys) > 0).all()  # rows in order, columns ascending within
+    assert np.array_equal(keys, np.sort(np.concatenate([u * n + v, v * n + u])))
+    rows, cols = np.divmod(keys, n)
+    assert np.array_equal(np.sort(cols * n + rows), keys)  # symmetric
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(args=gnm_args())
+def test_gnm_csr_is_symmetric_sorted_and_in_bounds(args):
+    _check_csr(sample_gnm(*args))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -2.5])
+def test_prime_graph_csr_is_symmetric_sorted_and_in_bounds(table_1m, alpha):
+    for g in build_many(table_1m, alpha, [1, 20260808], target_nodes=4000):
+        for n_star in (2, 3, 50, 500, 2000, 4000):
+            _check_csr(g.snapshot_at(n_star))
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(args=gnm_args())
 @example(args=(2, 0, 7))
