@@ -7,7 +7,8 @@ a manifest listing each artifact with its SHA-256 digest; identical
 invocations with the same seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
-(for example an unreachable node-count target).
+(for example an unreachable node-count target or an unwritable output
+directory).
 """
 
 import argparse
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GoldbachNetError
-from .ensemble import SweepSpec, run_sweep
-from .figures import DEFAULT_MAX_EVEN_CAP, FIGURE_DEFAULTS, alpha_label, figure_tables
+from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, run_sweep
+from .figures import FIGURE_DEFAULTS, alpha_label, figure_tables
 from .metrics import CLUSTERING_CONVENTIONS, compute_report
 from .netbuild import _check_even_bound, build, check_run, check_seed
 from .primes import build_table
@@ -45,24 +46,12 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _fmt_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))  # shortest round-trip decimal form
-
-
-_CELL_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}  # else _fmt_cell
-
-
 def write_csv(path, header, rows):
-    fmt = _CELL_FORMATS.get
+    """Write ``rows`` under ``header``, a cell as its ``str`` and None as
+    empty: cells are Python int, float (shortest round-trip repr), str or None."""
     with open(path, "w", encoding="utf-8") as fh:  # streamed: joined text set peak RSS
         fh.write(",".join(str(h) for h in header) + "\n")
-        fh.writelines(",".join([fmt(type(c), _fmt_cell)(c) for c in row]) + "\n"
+        fh.writelines(",".join(["" if c is None else str(c) for c in row]) + "\n"
                       for row in rows)
 
 
@@ -116,21 +105,21 @@ def _cmd_build(args):
         raise ValueError("build with max_even does not read max_even_cap")
     _check_even_bound(args.max_even_cap, "max_even_cap")
     check_seed(args.seed)
+    (args.out / "edges").mkdir(parents=True, exist_ok=True)  # fails before the sieve
+    (args.out / "distributions").mkdir(exist_ok=True)
     table = build_table(args.max_even if args.max_even is not None
                         else args.max_even_cap)
     graph = build(table, args.alpha, args.seed, max_even=args.max_even,
                   target_nodes=args.target_nodes)
     report = compute_report(graph, args.clustering)
 
-    (args.out / "edges").mkdir(parents=True, exist_ok=True)
-    (args.out / "distributions").mkdir(exist_ok=True)
     artifacts = [Path("edges") / "graph.txt", Path("report.json")]
     graph.write_edge_list(args.out / artifacts[0])
     _write_json(args.out / artifacts[1],
                 {"alpha": repr(graph.alpha), "seed": graph.seed, **report.to_dict()})
     for name, x_name in (("p_of_j", "j"), ("P_of_k", "k"), ("C_by_degree", "k")):
         rel = Path("distributions") / f"{name}.csv"
-        write_csv(args.out / rel, [x_name, name], report.distribution_csv_rows(name))
+        write_csv(args.out / rel, [x_name, name], sorted(getattr(report, name).items()))
         artifacts.append(rel)
 
     r_text = "undefined" if report.r is None else f"{report.r:.6g}"
@@ -282,7 +271,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GoldbachNetError as exc:
+    except (GoldbachNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

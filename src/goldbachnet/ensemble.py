@@ -20,6 +20,8 @@ from .netbuild import (_build_rows, _check_even_bound, _share_table, check_run,
                        check_seed)
 from .primes import build_table
 
+DEFAULT_MAX_EVEN_CAP = 1_000_000  # sieve bound of node-count builds and sweeps
+
 SEED_RULE = (
     "uint64 from SeedSequence(master_seed, spawn_key): builds (0, realization); "
     "null models (1, alpha_index, realization, snapshot_index)"
@@ -51,7 +53,7 @@ class SweepSpec:
     snapshot_nodes: tuple
     realizations: int = 20
     master_seed: int = 1
-    max_even_cap: int = 1_000_000
+    max_even_cap: int = DEFAULT_MAX_EVEN_CAP
     clustering: str = "standard"
 
     def __post_init__(self):

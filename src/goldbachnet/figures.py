@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SweepSpec, growth_curves, run_sweep
-
-DEFAULT_MAX_EVEN_CAP = 1_000_000
+from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, growth_curves, run_sweep
 
 _N_LADDER = (250, 500, 1000, 2000, 4000)
 _ALPHA_GRID = (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0)

@@ -58,20 +58,10 @@ class MetricsReport:
     )
     DISTRIBUTION_FIELDS: ClassVar[tuple] = ("p_of_j", "P_of_k", "C_by_degree")
 
-    def scalars(self):
-        return {name: getattr(self, name) for name in self.SCALAR_FIELDS}
-
     def to_dict(self):
         """Flat JSON-compatible document (distribution bins keyed by int)."""
-        doc = self.scalars()
-        for name in self.DISTRIBUTION_FIELDS:
-            doc[name] = dict(getattr(self, name))
-        return doc
-
-    def distribution_csv_rows(self, name):
-        """Two-column (x, value) rows for one distribution, ascending x."""
-        dist = getattr(self, name)
-        return [(k, dist[k]) for k in sorted(dist)]
+        return vars(self) | {name: getattr(self, name).copy()
+                             for name in self.DISTRIBUTION_FIELDS}
 
 
 def _adjacency(graph):

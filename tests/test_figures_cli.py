@@ -20,6 +20,15 @@ def _read_csv(path):
     return header, rows
 
 
+def test_write_csv_cells_by_one_rule(tmp_path):
+    floats = [0.1, 1e-05, 1e16, -0.0, float("inf"), float("nan")]
+    path = tmp_path / "cells.csv"
+    cli.write_csv(path, ["a", 2], [[None, 7, "x", *floats], [-3]])
+    expected = ["", repr(7), "x", *map(repr, floats)]
+    assert expected[3:] == ["0.1", "1e-05", "1e+16", "-0.0", "inf", "nan"]
+    assert path.read_bytes() == ("a,2\n" + ",".join(expected) + "\n-3\n").encode()
+
+
 def test_figure_defaults_cover_1_to_10():
     assert sorted(FIGURE_DEFAULTS) == list(range(1, 11))
     # presets whose conventional node count is 5000
@@ -248,6 +257,21 @@ def test_cli_flag_errors_exit_2(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["figure", "11", "--out", str(tmp_path / "z")])
     assert err.value.code == 2
+
+
+def test_cli_unwritable_out_exits_3_before_the_sieve(tmp_path, capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("an unwritable --out reached the sieve")
+
+    monkeypatch.setattr(cli, "build_table", no_sieve)
+    plain_file = tmp_path / "plain"
+    plain_file.write_text("")
+    out = plain_file / "x"
+    assert main(["build", "--alpha", "-2.5", "--target-nodes", "5000",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out) in err
 
 
 def test_cli_empty_lists_and_low_snapshots_exit_2(tmp_path, capsys):

@@ -231,8 +231,8 @@ def test_report_serialization():
     doc = rep.to_dict()
     assert doc["d"] == pytest.approx(4 / 3)
     assert doc["p_of_j"] == rep.p_of_j
-    rows = rep.distribution_csv_rows("P_of_k")
-    assert rows == [(1, 2 / 3), (2, 1 / 3)]
+    assert doc["P_of_k"] == rep.P_of_k and doc["P_of_k"] is not rep.P_of_k
+    assert sorted(rep.P_of_k.items()) == [(1, 2 / 3), (2, 1 / 3)]
 
 
 def _networkx_graph(nx, graph):

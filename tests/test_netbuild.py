@@ -106,8 +106,11 @@ def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
     blocks = [None] * len(seeds)
     out = [([], [], False) for _ in seeds]
     seen = [set() for _ in seeds]
-    for j, n in enumerate(range(8, last_even + 1, 2)):
-        decomp = decompose(table, n)
+    evens = range(8, last_even + 1, 2)
+    decomp = decompose(table, evens)  # one range, split per even below
+    ends = np.cumsum(decomp.counts)[:-1]
+    per_even = zip(*(np.split(a, ends) for a in (decomp.delta, decomp.p, decomp.q)))
+    for j, (n, (delta, p, q)) in enumerate(zip(evens, per_even)):
         for r, (edges, hist, reached) in enumerate(out):
             if reached:
                 continue
@@ -116,8 +119,8 @@ def _reference_builds(table, alpha, seeds, last_even, target_nodes=None):
                 if j % 4096 == 0:
                     blocks[r] = gens[r].random(4096)
                 u = float(blocks[r][j % 4096])
-            i = pick_index(decomp.delta, alpha, np.array([u]))[0]
-            pair = (int(decomp.p[i]), int(decomp.q[i]))
+            i = pick_index(delta, alpha, np.array([u]))[0]
+            pair = (int(p[i]), int(q[i]))
             edges.append((*pair, n))
             seen[r].update(pair)
             hist.append(len(seen[r]))
