@@ -7,8 +7,8 @@ a manifest listing each artifact with its SHA-256 digest; identical
 invocations with the same seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
-(for example an unreachable node-count target or an unwritable output
-directory).
+(for example an unreachable node-count target, an unwritable output
+directory or a failed worker pool).
 """
 
 import argparse
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GoldbachNetError
 from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, run_sweep
 from .figures import FIGURE_DEFAULTS, alpha_label, figure_tables
-from .metrics import CLUSTERING_CONVENTIONS, compute_report
+from .metrics import CLUSTERING_CONVENTIONS, DISTRIBUTIONS, compute_report
 from .netbuild import _check_even_bound, build, check_run, check_seed
 from .primes import build_table
 
@@ -117,7 +117,7 @@ def _cmd_build(args):
     graph.write_edge_list(args.out / artifacts[0])
     _write_json(args.out / artifacts[1],
                 {"alpha": repr(graph.alpha), "seed": graph.seed, **report.to_dict()})
-    for name, x_name in (("p_of_j", "j"), ("P_of_k", "k"), ("C_by_degree", "k")):
+    for name, x_name in DISTRIBUTIONS.items():
         rel = Path("distributions") / f"{name}.csv"
         write_csv(args.out / rel, [x_name, name], sorted(getattr(report, name).items()))
         artifacts.append(rel)
@@ -217,7 +217,7 @@ def make_parser():
                          help="comma-separated alphas, e.g. 0,-1.8,+inf")
     p_sweep.add_argument("--snapshots", type=_parse_int_list, required=True,
                          help="comma-separated node-count checkpoints")
-    p_sweep.add_argument("--realizations", type=int, default=20)
+    p_sweep.add_argument("--realizations", type=int, default=SweepSpec.realizations)
     p_sweep.add_argument("--format", choices=["json", "csv"], default="json")
     p_sweep.add_argument("--workers", type=int, default=1)
     _add_common(p_sweep)

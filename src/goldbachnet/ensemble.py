@@ -8,14 +8,16 @@ snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from typing import ClassVar
 
 import numpy as np
 
 from .baseline import baseline_report
-from .metrics import CLUSTERING_CONVENTIONS, MetricsReport, compute_report
+from .errors import GoldbachNetError
+from .metrics import (CLUSTERING_CONVENTIONS, DISTRIBUTIONS, SCALAR_FIELDS,
+                      compute_report)
 from .netbuild import (_build_rows, _check_even_bound, _share_table, check_run,
                        check_seed)
 from .primes import build_table
@@ -45,6 +47,19 @@ def baseline_seed(master_seed, alpha_index, realization, snapshot_index):
     )
 
 
+def _check_rows(alphas, stop, realizations, master_seed):
+    """Check the rows of an ensemble: its alphas, each under check_run's stop
+    rule ``stop``, its realizations and master seed; return the alphas as a
+    tuple of floats."""
+    alphas = tuple(check_run(a, stop) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    if realizations < 1:
+        raise ValueError("realizations must be >= 1")
+    check_seed(master_seed, "master_seed")
+    return alphas
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One ensemble run: alpha grid, node-count checkpoints, realizations."""
@@ -62,14 +77,9 @@ class SweepSpec:
             raise ValueError("snapshot_nodes must be nonempty, strictly increasing")
         object.__setattr__(self, "snapshot_nodes", snaps)
         # every snapshot is a node-count target; the first is the smallest
-        alphas = tuple(check_run(a, (None, snaps[0])) for a in self.alphas)
-        if not alphas:
-            raise ValueError("alphas must be nonempty")
-        object.__setattr__(self, "alphas", alphas)
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        object.__setattr__(self, "alphas", _check_rows(
+            self.alphas, (None, snaps[0]), self.realizations, self.master_seed))
         _check_even_bound(self.max_even_cap, "max_even_cap")
-        check_seed(self.master_seed, "master_seed")
         if self.clustering not in CLUSTERING_CONVENTIONS:
             raise ValueError(f"unknown clustering convention {self.clustering!r}")
 
@@ -98,17 +108,9 @@ class AggregateStats:
 
     def to_json_dict(self):
         return {
-            "scalars": {
-                name: {"mean": st.mean, "std": st.std, "count": st.count}
-                for name, st in self.scalars.items()
-            },
-            "distributions": {
-                name: {
-                    str(k): {"mean": b.mean, "count": b.count}
-                    for k, b in sorted(bins.items())
-                }
-                for name, bins in self.distributions.items()
-            },
+            "scalars": {name: vars(st).copy() for name, st in self.scalars.items()},
+            "distributions": {name: {str(k): vars(b).copy() for k, b in bins.items()}
+                              for name, bins in self.distributions.items()},
         }
 
 
@@ -133,10 +135,10 @@ def aggregate(reports):
         raise ValueError("aggregate needs at least one report")
     scalars = {
         name: _scalar_stat([getattr(rep, name) for rep in reports])
-        for name in MetricsReport.SCALAR_FIELDS
+        for name in SCALAR_FIELDS
     }
     distributions = {}
-    for name in MetricsReport.DISTRIBUTION_FIELDS:
+    for name in DISTRIBUTIONS:
         bins = {}
         for rep in reports:
             for k, v in getattr(rep, name).items():
@@ -159,13 +161,8 @@ class SweepCell:
     baseline: AggregateStats | None
 
     def to_json_dict(self):
-        return {
-            "alpha": self.alpha,
-            "snapshot": self.snapshot,
-            "n_realizations": self.n_realizations,
-            "network": self.network.to_json_dict() if self.network else None,
-            "baseline": self.baseline.to_json_dict() if self.baseline else None,
-        }
+        return {name: value.to_json_dict() if isinstance(value, AggregateStats)
+                else value for name, value in vars(self).items()}
 
 
 @dataclass
@@ -186,14 +183,9 @@ class EnsembleResult:
         raise KeyError(f"no cell for alpha={alpha!r}, snapshot={snapshot}")
 
     def to_json_dict(self):
-        return {
-            "master_seed": self.spec.master_seed,
-            "seed_rule": self.seed_rule,
+        return asdict(self.spec) | {
             "alphas": [repr(a) for a in self.spec.alphas],
-            "snapshot_nodes": list(self.spec.snapshot_nodes),
-            "realizations": self.spec.realizations,
-            "max_even_cap": self.spec.max_even_cap,
-            "clustering": self.spec.clustering,
+            "seed_rule": self.seed_rule,
             "warnings": list(self.warnings),
             "cells": [c.to_json_dict() for c in self.cells],
         }
@@ -220,6 +212,10 @@ def _sieve_and_pool(limit, workers):
         pool = ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
     try:
         yield table, pool
+    except Exception as exc:  # a dead worker, or an error raised in a task
+        if pool is None or isinstance(exc, GoldbachNetError):
+            raise
+        raise GoldbachNetError(f"worker pool failed: {exc!r}") from exc
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -290,12 +286,7 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     node-count histories; each curve equals that of its alpha alone.
     """
     max_even = int(max_even)
-    alphas = [check_run(a, (max_even, None)) for a in np.ravel(alphas)]
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-    check_seed(master_seed, "master_seed")
+    alphas = _check_rows(np.ravel(alphas), (max_even, None), realizations, master_seed)
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]
     curves = []
     with _sieve_and_pool(max_even, workers) as (table, pool):

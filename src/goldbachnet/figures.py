@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, growth_curves, run_sweep
+from .metrics import DISTRIBUTIONS
 
 _N_LADDER = (250, 500, 1000, 2000, 4000)
 _ALPHA_GRID = (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0)
@@ -34,20 +35,20 @@ _ALPHA_GRID = (-2.5, -2.1, -1.8, -1.4, -1.0, -0.5, 0.0, 1.0, 2.0)
 # Each preset's tables map a file stem to (kind, *arguments) of _TABLE_KINDS:
 #   "vs_N" (field, side): a row per snapshot N, mean and std per alpha;
 #   "vs_alpha" (fields, last N only): a row per alpha, mean and std per field;
-#   "distribution" (name, bin name, zero_fill): a row per bin at the last N.
+#   "distribution" (name, zero_fill): a row per bin at the last N.
 FIGURE_DEFAULTS = {
     1: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5), "snapshots": _N_LADDER,
         "tables": {"d_vs_N": ("vs_N", "d", "network"),
                    "dprime_vs_N": ("vs_N", "d", "baseline")}},
     2: {"alphas": (2.0, 0.0, -1.0, -2.0, -2.5), "snapshots": (5000,),
-        "tables": {"p_of_j": ("distribution", "p_of_j", "j", True)}},
+        "tables": {"p_of_j": ("distribution", "p_of_j", True)}},
     3: {"alphas": _ALPHA_GRID, "snapshots": (1000, 2000, 4000),
         "tables": {"d_vs_alpha": ("vs_alpha", ("d",), False)}},
     4: {"alphas": (2.0, 1.0, 0.0, -1.0, -1.8, -2.5), "snapshots": _N_LADDER,
         "tables": {"C_vs_N": ("vs_N", "C", "network"),
                    "Cprime_vs_N": ("vs_N", "C", "baseline")}},
     5: {"alphas": (2.0, -0.1, -0.5, -2.0), "snapshots": (5000,),
-        "tables": {"P_of_k": ("distribution", "P_of_k", "k", True)}},
+        "tables": {"P_of_k": ("distribution", "P_of_k", True)}},
     6: {"alphas": (2.0, 1.0, 0.0, -1.0, -2.0), "max_even": 20_000},
     7: {"alphas": _ALPHA_GRID, "snapshots": (5000,),
         "tables": {"k_stats_vs_alpha": ("vs_alpha", ("mean_k", "f_k"), True)}},
@@ -55,7 +56,7 @@ FIGURE_DEFAULTS = {
         "tables": {"kmax_vs_N": ("vs_N", "k_max", "network"),
                    "kmean_vs_N": ("vs_N", "mean_k", "network")}},
     9: {"alphas": (-1.0, 0.0, 1.0, 2.0), "snapshots": (5000,),
-        "tables": {"C_of_k": ("distribution", "C_by_degree", "k", False)}},
+        "tables": {"C_of_k": ("distribution", "C_by_degree", False)}},
     10: {"alphas": (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0),
          "snapshots": (5000,), "tables": {"r_vs_alpha": ("vs_alpha", ("r",), True)}},
 }
@@ -121,7 +122,7 @@ def _vs_alpha(result, fields, last_only):
     return Table(header, rows)
 
 
-def _distribution(result, name, x_name, zero_fill):
+def _distribution(result, name, zero_fill):
     """Per-alpha columns of one distribution at the last snapshot, over the
     union of bins, each mean followed by its bin's occupancy count unless
     ``zero_fill``."""
@@ -129,7 +130,7 @@ def _distribution(result, name, x_name, zero_fill):
     cells = [result.cell(a, spec.snapshot_nodes[-1]) for a in spec.alphas]
     bins = set().union(*(c.network.distributions[name] for c in cells if c.network))
     stats = ("mean",) if zero_fill else ("mean", "count")
-    header = _alpha_columns(x_name, name, stats, spec.alphas)
+    header = _alpha_columns(DISTRIBUTIONS[name], name, stats, spec.alphas)
     rows = []
     for b in sorted(bins):
         row = [b]
@@ -172,7 +173,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
         if value != default:
             raise ValueError(f"figure {figure_id} does not read {name}")
     alphas = tuple(float(a) for a in (preset["alphas"] if alphas is None else alphas))
-    realizations = int(realizations) if realizations is not None else 20
+    realizations = SweepSpec.realizations if realizations is None else int(realizations)
 
     if "max_even" in preset:
         max_even = int(max_even) if max_even is not None else preset["max_even"]

@@ -8,8 +8,7 @@ reachable fraction reported alongside so that disconnected graphs are
 never silently mixed into connected ones.
 """
 
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,24 +43,15 @@ class MetricsReport:
     k_max: int
     r: float | None
 
-    SCALAR_FIELDS: ClassVar[tuple] = (
-        "n_nodes",
-        "n_edges",
-        "d",
-        "reachable_fraction",
-        "giant_component_size",
-        "C",
-        "mean_k",
-        "f_k",
-        "k_max",
-        "r",
-    )
-    DISTRIBUTION_FIELDS: ClassVar[tuple] = ("p_of_j", "P_of_k", "C_by_degree")
-
     def to_dict(self):
         """Flat JSON-compatible document (distribution bins keyed by int)."""
-        return vars(self) | {name: getattr(self, name).copy()
-                             for name in self.DISTRIBUTION_FIELDS}
+        return vars(self) | {name: getattr(self, name).copy() for name in DISTRIBUTIONS}
+
+
+# each distribution field of MetricsReport, with the name of its bins
+DISTRIBUTIONS = {"p_of_j": "j", "P_of_k": "k", "C_by_degree": "k"}
+SCALAR_FIELDS = tuple(f.name for f in fields(MetricsReport)
+                      if f.name not in DISTRIBUTIONS)
 
 
 def _adjacency(graph):

@@ -25,15 +25,21 @@ def trial_division_primes(limit):
     return [n for n in range(2, limit + 1) if trial_division_is_prime(n)]
 
 
-def brute_force_pairs(n, prime_set=None):
-    """All (p, q, q - p) with p + q = n, p < q, both prime; p ascending."""
-    if prime_set is None:
-        prime_set = set(trial_division_primes(n))
+def brute_force_pairs(n, primes=None):
+    """All (p, q, q - p) with p + q = n, p < q, both prime; p ascending.
+
+    ``primes`` holds every prime up to n in ascending order, with set-like
+    membership (``dict.fromkeys`` of an ascending list); by default they
+    come from trial division. p runs over those primes below n / 2.
+    """
+    if primes is None:
+        primes = dict.fromkeys(trial_division_primes(n))
     out = []
-    for p in range(2, n // 2 + 1):
-        q = n - p
-        if p < q and p in prime_set and q in prime_set:
-            out.append((p, q, q - p))
+    for p in primes:
+        if 2 * p >= n:
+            break
+        if n - p in primes:
+            out.append((p, n - p, n - 2 * p))
     return out
 
 

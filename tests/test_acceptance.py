@@ -169,12 +169,12 @@ def test_criterion_01_exactness(table_30k):
 
 
 def test_criterion_02_oracle_equivalence(table_30k):
-    prime_set = set(trial_division_primes(10_000))
+    primes = dict.fromkeys(trial_division_primes(10_000))
     for n in range(8, 10_001, 2):
         d = decompose(table_30k, n)
         assert (
             list(zip(d.p.tolist(), d.q.tolist(), d.delta.tolist()))
-            == brute_force_pairs(n, prime_set)
+            == brute_force_pairs(n, primes)
         ), f"decomposition mismatch at n={n}"
 
     rng = np.random.default_rng(MASTER_SEED)

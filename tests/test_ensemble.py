@@ -23,7 +23,7 @@ from goldbachnet import (
 )
 from goldbachnet import ensemble
 from goldbachnet.ensemble import SEED_RULE
-from goldbachnet.metrics import MetricsReport as MR
+from goldbachnet.metrics import SCALAR_FIELDS
 
 ALPHA_TOO_LARGE = r"^finite \|alpha\| must be <= 2.809e\+306; use \+inf/-inf$"
 
@@ -98,7 +98,7 @@ def test_run_sweep_single_realization_equals_report(table_30k):
 
     g = build_many(table_30k, 0.0, [realization_seed(7, 0)], target_nodes=80)[0]
     rep = compute_report(g.snapshot_at(80))
-    for name in MR.SCALAR_FIELDS:
+    for name in SCALAR_FIELDS:
         value = getattr(rep, name)
         stat = cell.network.scalars[name]
         if value is None:
@@ -258,13 +258,25 @@ def test_growth_curves_shape_and_determinism():
     assert (np.diff(a.n_mean) >= 0).all()
     single, = growth_curves((1.0,), 500, realizations=1, master_seed=9)
     assert (single.n_std == 0).all()
-    with pytest.raises(ValueError):
-        growth_curves((1.0,), 500, realizations=0, master_seed=9)
-    with pytest.raises(ValueError, match="^alphas must be nonempty$"):
-        growth_curves([], 500, realizations=1, master_seed=9)
-    for alpha in (1e308, -1e308):
-        with pytest.raises(ValueError, match=ALPHA_TOO_LARGE):
-            growth_curves((0.0, alpha), 500, realizations=1, master_seed=9)
+
+
+@pytest.mark.parametrize("alphas, realizations, master_seed, message", [
+    ((), 1, 9, "^alphas must be nonempty$"),
+    ((0.0, math.nan), 1, 9, "^alpha must not be NaN$"),
+    ((0.0, 1e308), 1, 9, ALPHA_TOO_LARGE),
+    ((0.0, -1e308), 1, 9, ALPHA_TOO_LARGE),
+    ((1.0,), 0, 9, "^realizations must be >= 1$"),
+    ((1.0,), 1, -1, "^master_seed must fit in 64 unsigned bits$"),
+    ((1.0,), 1, 2**64, "^master_seed must fit in 64 unsigned bits$"),
+])
+def test_growth_curves_and_sweep_spec_reject_bad_rows_alike(
+        alphas, realizations, master_seed, message):
+    with pytest.raises(ValueError, match=message) as growth_err:
+        growth_curves(alphas, 500, realizations=realizations, master_seed=master_seed)
+    with pytest.raises(ValueError, match=message) as spec_err:
+        SweepSpec(alphas=alphas, snapshot_nodes=(10,), realizations=realizations,
+                  master_seed=master_seed)
+    assert str(growth_err.value) == str(spec_err.value)
 
 
 def test_growth_curves_of_many_alphas_equal_single_alpha_calls():

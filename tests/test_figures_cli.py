@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from goldbachnet import cli
+from goldbachnet import SweepSpec, cli
 from goldbachnet.baseline import sample_gnm
 from goldbachnet.cli import main
 from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
@@ -310,6 +311,42 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     assert "exhausted at 1000 " in err  # the cap is the last even consumed
 
 
+def _worker_dies(*args):
+    os._exit(1)
+
+
+def _task_raises(*args):
+    raise RuntimeError("injected fault")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("_worker_dies", "BrokenProcessPool("),
+    ("_task_raises", "RuntimeError('injected fault')"),
+])
+def test_cli_failed_pool_exits_3_with_one_line(tmp_path, fault, message):
+    """A pool worker that dies, or a metrics task that raises, ends a pooled
+    sweep with exit 3 and one error line. The fault is a module-level
+    function, so that it pickles, and the run has a timeout."""
+    code = textwrap.dedent(f"""\
+        import sys
+        import test_figures_cli
+        from goldbachnet import cli, ensemble
+        ensemble._measure = test_figures_cli.{fault}
+        sys.exit(cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
+                           "--realizations", "2", "--max-even-cap", "20000",
+                           "--workers", "2", "--out", sys.argv[1]]))
+    """)
+    paths = [Path(cli.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: worker pool failed: {message}"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def test_cli_nan_alpha_exit_2(tmp_path):
     for argv in (["build", "--alpha", "nan", "--max-even", "100"],
                  ["sweep", "--alphas", "0,nan", "--snapshots", "50",
@@ -378,6 +415,15 @@ def test_cli_sweep_outputs(tmp_path):
     assert header == ["alpha", "snapshot", "side", "field", "mean", "std",
                       "count"]
     assert all(len(row) == len(header) for row in rows)
+
+
+def test_sweep_json_keys_are_the_spec_fields_and_the_run_record(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--alphas", "0", "--snapshots", "40", "--realizations", "1",
+                 "--max-even-cap", "20000", "--out", str(out)]) == 0
+    doc = json.loads((out / "sweep.json").read_text())
+    spec_fields = [f.name for f in dataclasses.fields(SweepSpec)]
+    assert sorted(doc) == sorted(spec_fields + ["seed_rule", "warnings", "cells"])
 
 
 def test_cli_sweep_rerun_byte_identical(tmp_path):

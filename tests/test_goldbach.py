@@ -45,13 +45,13 @@ def test_decompose_100_count(table_2k):
 def test_matches_brute_force_up_to_10k(table_30k):
     # one range decomposition, sliced per even; the single-even path is
     # pinned to the range path by the 20k test below
-    prime_set = set(trial_division_primes(10_000))
+    primes = dict.fromkeys(trial_division_primes(10_000))
     evens = range(8, 10_001, 2)
     d = decompose(table_30k, evens)
     got = list(zip(d.p.tolist(), d.q.tolist(), d.delta.tolist()))
     ends = np.cumsum(d.counts).tolist()
     for n, start, end in zip(evens, [0] + ends, ends):
-        expected = brute_force_pairs(n, prime_set)
+        expected = brute_force_pairs(n, primes)
         assert got[start:end] == expected, f"mismatch at n={n}"
 
 
@@ -95,12 +95,12 @@ def test_range_decomposition_matches_single_evens_up_to_20k(table_30k):
 
 def test_range_decomposition_matches_brute_force_up_to_1m(table_1m):
     rng = np.random.default_rng(20260808)
-    prime_set = set(table_1m.ordered_primes.tolist())
+    primes = dict.fromkeys(table_1m.ordered_primes.tolist())
     starts = [8, 999_994] + (2 * rng.integers(4, 499_980, size=3)).tolist()
     for n0, width in zip(starts, (32, 4, 3, 4, 5)):
         evens = range(n0, n0 + 2 * width, 2)
         d = decompose(table_1m, evens)
-        expected = [brute_force_pairs(n, prime_set) for n in evens]
+        expected = [brute_force_pairs(n, primes) for n in evens]
         assert d.counts.tolist() == [len(pairs) for pairs in expected]
         for (p, q), pairs in zip(_split(d), expected):
             assert list(zip(p.tolist(), q.tolist())) == [(a, b) for a, b, _ in pairs]
