@@ -7,6 +7,7 @@ value, and the matched null-model sample for (alpha index a, realization i,
 snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 """
 
+import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
@@ -49,15 +50,15 @@ def baseline_seed(master_seed, alpha_index, realization, snapshot_index):
 
 def _check_rows(alphas, stop, realizations, master_seed):
     """Check the rows of an ensemble: its alphas, each under check_run's stop
-    rule ``stop``, its realizations and master seed; return the alphas as a
-    tuple of floats."""
+    rule ``stop``, its integral realizations and master seed; return them as
+    a tuple of floats, an int and an int."""
     alphas = tuple(check_run(a, stop) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    realizations = operator.index(realizations)  # a TypeError unless integral
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    check_seed(master_seed, "master_seed")
-    return alphas
+    return alphas, realizations, check_seed(master_seed, "master_seed")
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,14 @@ class SweepSpec:
         snaps = tuple(int(s) for s in self.snapshot_nodes)
         if not snaps or any(b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot_nodes must be nonempty, strictly increasing")
-        object.__setattr__(self, "snapshot_nodes", snaps)
         # every snapshot is a node-count target; the first is the smallest
-        object.__setattr__(self, "alphas", _check_rows(
-            self.alphas, (None, snaps[0]), self.realizations, self.master_seed))
+        rows = _check_rows(self.alphas, (None, snaps[0]), self.realizations,
+                           self.master_seed)
         _check_even_bound(self.max_even_cap, "max_even_cap")
         if self.clustering not in CLUSTERING_CONVENTIONS:
             raise ValueError(f"unknown clustering convention {self.clustering!r}")
+        vars(self).update(zip(("alphas", "realizations", "master_seed"), rows),
+                          snapshot_nodes=snaps, max_even_cap=int(self.max_even_cap))
 
 
 @dataclass
@@ -233,12 +235,15 @@ def run_sweep(spec, workers=1):
     (alpha, snapshot) order, realizations in order within each cell.
     """
     seeds = [realization_seed(spec.master_seed, i) for i in range(spec.realizations)]
-    measured, exhausted, in_flight = {}, {}, []
+    measured, in_flight, warnings = {}, [], []
     with _sieve_and_pool(spec.max_even_cap, workers) as (table, pool):
         for row, si, sub in _build_rows(table, spec.alphas, seeds, None,
                                         spec.snapshot_nodes, pool):
-            if si == len(spec.snapshot_nodes):
-                exhausted[row] = f"N={sub.num_nodes}, M={sub.num_edges}"
+            if si == len(spec.snapshot_nodes):  # short rows come last, by row
+                a, i = divmod(row, spec.realizations)
+                warnings.append(f"alpha={spec.alphas[a]!r}: realization {i} exhausted "
+                                f"even numbers at cap {spec.max_even_cap} with "
+                                f"N={sub.num_nodes}, M={sub.num_edges}")
             elif pool:
                 if len(in_flight) == 2 * workers:
                     in_flight.pop(0).result()
@@ -249,14 +254,9 @@ def run_sweep(spec, workers=1):
         if pool:
             measured = {key: task.result() for key, task in measured.items()}
 
-    cells, warnings = [], []
+    cells = []
     for ai, alpha in enumerate(spec.alphas):
         rows = range(ai * len(seeds), (ai + 1) * len(seeds))
-        warnings.extend(
-            f"alpha={alpha!r}: realization {r - rows[0]} exhausted even numbers at "
-            f"cap {spec.max_even_cap} with {exhausted[r]}"
-            for r in rows if r in exhausted
-        )
         for si, n_star in enumerate(spec.snapshot_nodes):
             pairs = [measured[r, si] for r in rows if (r, si) in measured]
             if pairs:
@@ -270,10 +270,10 @@ def run_sweep(spec, workers=1):
 
 @dataclass
 class GrowthCurves:
-    """Ensemble mean of the node count as a function of the link count."""
+    """Ensemble mean of the node count as a function of the link count M,
+    which is one more than the position in ``n_mean`` and ``n_std``."""
 
     alpha: float
-    m: np.ndarray
     n_mean: np.ndarray
     n_std: np.ndarray
 
@@ -286,7 +286,8 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     node-count histories; each curve equals that of its alpha alone.
     """
     max_even = int(max_even)
-    alphas = _check_rows(np.ravel(alphas), (max_even, None), realizations, master_seed)
+    alphas, realizations, master_seed = _check_rows(
+        np.ravel(alphas), (max_even, None), realizations, master_seed)
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]
     curves = []
     with _sieve_and_pool(max_even, workers) as (table, pool):
@@ -295,6 +296,5 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
             hist = np.vstack([g.node_count_history for *_, g in group]).astype(float)
             n_std = (np.std(hist, axis=0, ddof=1) if realizations > 1
                      else np.zeros(hist.shape[1]))
-            curves.append(GrowthCurves(alphas[ai], np.arange(1, hist.shape[1] + 1),
-                                       hist.mean(axis=0), n_std))
+            curves.append(GrowthCurves(alphas[ai], hist.mean(axis=0), n_std))
     return curves

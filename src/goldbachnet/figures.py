@@ -179,7 +179,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
         max_even = int(max_even) if max_even is not None else preset["max_even"]
         curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
         cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
-        rows = [[m, *row] for m, row in zip(curves[0].m.tolist(), cols.tolist())]
+        rows = [[m, *row] for m, row in enumerate(cols.tolist(), 1)]
         header = _alpha_columns("M", "N", ("mean", "std"), alphas)
         return {"N_vs_M": Table(header, rows)}
 

@@ -118,7 +118,7 @@ def _bfs_distance_histogram(adj, reach):
     # empty segments (isolated nodes) is zeroed below. The gather clips: its
     # columns lie in [0, n) by construction, and mode="raise" buffers ``out``
     vals = np.zeros(indices.size + 1, dtype=np.uint64)
-    counts = np.zeros(8, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)  # a hop distance is below n
     for base in range(0, n, 64):
         width = min(64, n - base)
         unreached = int(reach[base:base + width].sum())
@@ -134,8 +134,6 @@ def _bfs_distance_histogram(adj, reach):
             fresh = nxt & ~visited
             reached = int(np.bitwise_count(fresh).sum())
             unreached -= reached
-            if level >= counts.size:
-                counts = np.concatenate([counts, np.zeros(counts.size, np.int64)])
             counts[level] += reached
             visited |= fresh
             frontier = fresh

@@ -112,14 +112,13 @@ class PrimeGraph:
     count after edge i. Instances are treated as immutable once built.
     """
 
-    __slots__ = ("edge_p", "node_count_history", "alpha", "seed", "exhausted")
+    __slots__ = ("edge_p", "node_count_history", "alpha", "seed")
 
-    def __init__(self, edge_p, node_count_history, alpha, seed, exhausted=False):
+    def __init__(self, edge_p, node_count_history, alpha, seed):
         self.edge_p = edge_p
         self.node_count_history = node_count_history
         self.alpha = float(alpha)
         self.seed = int(seed)
-        self.exhausted = bool(exhausted)
 
     def __repr__(self):
         return (
@@ -161,8 +160,7 @@ class PrimeGraph:
     def snapshot_at(self, n_star):
         """State at the first moment the node count reached ``n_star``.
 
-        Returns None when the graph never grew that far. A snapshot has
-        reached its node count, so it is never flagged ``exhausted``.
+        Returns None when the graph never grew that far.
         """
         idx = int(np.searchsorted(self.node_count_history, int(n_star), side="left"))
         if idx >= self.num_edges:
@@ -221,14 +219,13 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
 
     Yields ``(row, k, snapshot)`` when a row first reaches ``marks[k]``, cut
     at the first crossing; a row stops at the last mark, and rows short of
-    it at the last even number come last, whole and in order, with
-    ``k = len(marks)`` (``exhausted`` unless ``max_even`` is set). A ``pool``
-    set up by ``_share_table(table)`` runs ``_chunk_picks`` with one more
-    chunk in flight than it has workers: chunk uniforms are drawn here, in
-    order, for the rows active at submission; picks of rows since stopped
-    are cut. A chunk's record holds every active row: 3 bytes per edge, p's
-    prime index (uint16 below a cap of about 1.6e6) and uint8 new endpoints,
-    all dropped when the last row stops.
+    it at the last even number come last, whole and in row order, with
+    ``k = len(marks)``. A ``pool`` set up by ``_share_table(table)`` runs
+    ``_chunk_picks`` with one more chunk in flight than it has workers: chunk
+    uniforms are drawn here, in order, for the rows active at submission;
+    picks of rows since stopped are cut. A chunk's record holds every active
+    row: 3 bytes per edge, p's prime index (uint16 below a cap of about
+    1.6e6) and uint8 new endpoints, all dropped when the last row stops.
     """
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
             for s in seeds]
@@ -244,13 +241,13 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
     active = np.arange(n_rows)
     records = [(active, *np.zeros((2, n_rows, 0), dtype=index_type))]  # (rows, ip, new)
 
-    def graph(r, exhausted=False):
+    def graph(r):
         at = [rec[0].searchsorted(r) for rec in records]  # r's row in each record
         ip, new = (np.concatenate([rec[x][i] for rec, i in zip(records, at)])
                    for x in (1, 2))
         return PrimeGraph(table.ordered_primes[ip].astype(np.int32),
                           np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
-                          seeds[r % n_seeds], exhausted=exhausted)
+                          seeds[r % n_seeds])
 
     def submit(j):
         size = min(_CHUNK, n_evens - j)
@@ -283,7 +280,7 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
             pending.extend(map(submit, islice(starts, 1)))
 
     for r in active.tolist():
-        yield r, len(marks), graph(r, exhausted=max_even is None)
+        yield r, len(marks), graph(r)
 
 
 def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
@@ -316,8 +313,8 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
         Alpha-major: the graph of ``(alphas[a], seeds[i])`` is at
         ``a * len(seeds) + i``, so a single float gives one per seed. A row
         that runs out of even numbers before reaching ``target_nodes`` is
-        returned as built with ``exhausted`` set; nothing is raised, so a
-        direct caller reads ``.exhausted``.
+        returned as built and nothing is raised, so a direct caller compares
+        ``num_nodes`` with ``target_nodes``.
     """
     alphas = [check_run(a, (max_even, target_nodes)) for a in np.ravel(alphas)]
     seeds = [check_seed(s) for s in seeds]
@@ -339,7 +336,7 @@ def build(table, alpha, seed, *, max_even=None, target_nodes=None):
     """
     graph = build_many(table, alpha, [seed], max_even=max_even,
                        target_nodes=target_nodes)[0]
-    if graph.exhausted:
+    if target_nodes is not None and graph.num_nodes < target_nodes:
         m = graph.num_edges
         raise SieveExhausted(
             f"even numbers exhausted at {6 + 2 * m} (bound {table.limit}): "

@@ -343,7 +343,7 @@ def test_criterion_08_hub_growth(alpha2_sweep, grid_sweep):
 def test_criterion_09_growth_curves():
     fast, slow = growth_curves((2.0, -2.0), 10_000, realizations=20,
                                master_seed=MASTER_SEED)
-    mask = fast.m >= 100
+    mask = np.arange(1, fast.n_mean.size + 1) >= 100  # M = position + 1
     below = int(np.sum(fast.n_mean[mask] < slow.n_mean[mask]))
     assert below == 0, f"N(M | alpha=2) < N(M | alpha=-2) at {below} points"
 

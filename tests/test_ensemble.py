@@ -148,7 +148,7 @@ def _reference_sweep(spec):
         row = graphs[ai * len(seeds):(ai + 1) * len(seeds)]
         warnings += [f"alpha={alpha!r}: realization {i} exhausted even numbers at cap "
                      f"{spec.max_even_cap} with N={g.num_nodes}, M={g.num_edges}"
-                     for i, g in enumerate(row) if g.exhausted]
+                     for i, g in enumerate(row) if g.num_nodes < spec.snapshot_nodes[-1]]
         for si, n_star in enumerate(spec.snapshot_nodes):
             reps, breps = [], []
             for i, sub in enumerate(g.snapshot_at(n_star) for g in row):
@@ -252,7 +252,7 @@ def test_baseline_matches_snapshot_sizes(table_30k):
 def test_growth_curves_shape_and_determinism():
     a, = growth_curves((1.0,), 2_000, realizations=4, master_seed=9)
     b, = growth_curves((1.0,), 2_000, realizations=4, master_seed=9)
-    assert a.m.size == (2_000 - 8) // 2 + 1
+    assert a.n_mean.size == a.n_std.size == (2_000 - 8) // 2 + 1
     assert np.array_equal(a.n_mean, b.n_mean)
     assert np.array_equal(a.n_std, b.n_std)
     assert (np.diff(a.n_mean) >= 0).all()
@@ -285,7 +285,8 @@ def test_growth_curves_of_many_alphas_equal_single_alpha_calls():
     assert [c.alpha for c in curves] == list(alphas)
     for c in curves:
         alone, = growth_curves((c.alpha,), 6_000, realizations=3, master_seed=4)
-        for name in ("m", "n_mean", "n_std"):
+        assert c.n_mean.size == (6_000 - 8) // 2 + 1  # one entry per M
+        for name in ("n_mean", "n_std"):
             x, y = getattr(c, name), getattr(alone, name)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (c.alpha, name)
     # the rows differ between alphas, so a mixed-up row would show
@@ -324,6 +325,29 @@ def test_spec_rejects_unknown_clustering():
         SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), clustering="papre")
     assert SweepSpec(alphas=(0.0,), snapshot_nodes=(10,),
                      clustering="paper").clustering == "paper"
+
+
+def test_spec_stores_the_ints_it_checked():
+    # numpy integers give the plain-int spec's sweep.json bytes, not a
+    # TypeError from json.dumps after the whole run
+    plain = SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), realizations=2,
+                      master_seed=3, max_even_cap=20_000)
+    numpy_ints = SweepSpec(alphas=(np.float64(0.0),), snapshot_nodes=(np.int64(50),),
+                           realizations=np.int64(2), master_seed=np.int64(3),
+                           max_even_cap=np.int64(20_000))
+    docs = [json.dumps(run_sweep(spec).to_json_dict(), indent=2, sort_keys=True)
+            for spec in (plain, numpy_ints)]
+    assert docs[1] == docs[0]
+    assert [type(getattr(numpy_ints, name)) for name in (
+        "realizations", "master_seed", "max_even_cap")] == [int, int, int]
+    # the seeds of master seed 1 are run, so 1 is recorded
+    spec = SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), master_seed=1.5)
+    assert spec.master_seed == 1 and type(spec.master_seed) is int
+    # a fractional realization count is refused at construction, before any work
+    with pytest.raises(TypeError):
+        SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), realizations=2.5)
+    with pytest.raises(TypeError):
+        growth_curves((0.0,), 500, realizations=2.5, master_seed=1)
 
 
 def test_json_document_roundtrip():

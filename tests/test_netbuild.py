@@ -2,6 +2,7 @@ import math
 import pickle
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_build_many_replays_reference_across_blocks(table_30k, alpha):
     seeds = [3, 14, 15]
     graphs = build_many(table_30k, alpha, seeds, max_even=8400)
     _assert_replays(graphs, _reference_builds(table_30k, alpha, seeds, 8400))
-    assert all(g.num_edges == 4197 and not g.exhausted for g in graphs)
+    assert all(g.num_edges == 4197 for g in graphs)
 
 
 def test_build_many_replays_reference_target_stops(table_30k):
@@ -166,8 +167,12 @@ def test_build_many_partial_flags_only_exhausted(table_2k):
     reference = _reference_builds(table_2k, 0.0, seeds, 2000, target)
     _assert_replays(graphs, reference)
     assert [reached for _, _, reached in reference] == [True, False]
-    assert [g.exhausted for g in graphs] == [False, True]
+    assert [g.num_nodes < target for g in graphs] == [False, True]
     assert graphs[1].edge_even[-1] == 2000
+    # build gives the row that reaches the target and raises for the short one
+    _assert_same_graphs([build(table_2k, 0.0, 7, target_nodes=target)], graphs[:1])
+    with pytest.raises(SieveExhausted):
+        build(table_2k, 0.0, 9, target_nodes=target)
 
 
 # finite and infinite alphas share each seed: the infinite rows draw no
@@ -182,7 +187,7 @@ def _assert_same_graphs(graphs, expected):
         assert np.array_equal(g.edge_q, h.edge_q)
         assert np.array_equal(g.edge_even, h.edge_even)
         assert np.array_equal(g.node_count_history, h.node_count_history)
-        assert (g.alpha, g.seed, g.exhausted) == (h.alpha, h.seed, h.exhausted)
+        assert (g.alpha, g.seed) == (h.alpha, h.seed)
 
 
 def _assert_multi_alpha_replays(table, seeds, last_even, target=None, **stop):
@@ -203,7 +208,7 @@ def test_build_many_alphas_replay_reference_across_blocks(table_30k):
     graphs, _ = _assert_multi_alpha_replays(table_30k, [3, 14, 15], 8400,
                                             max_even=8400)
     assert [g.alpha for g in graphs] == [a for a in MIXED_ALPHAS for _ in range(3)]
-    assert all(g.num_edges == 4197 and not g.exhausted for g in graphs)
+    assert all(g.num_edges == 4197 for g in graphs)
 
 
 def test_build_many_alphas_replay_reference_target_stops(table_30k):
@@ -223,7 +228,7 @@ def test_build_many_alphas_partial_flags_only_exhausted(table_2k):
     target = 285
     graphs, references = _assert_multi_alpha_replays(
         table_2k, [7, 9, 4], 2000, target, target_nodes=target)
-    flags = [g.exhausted for g in graphs]
+    flags = [g.num_nodes < target for g in graphs]
     assert flags == [not reached for _, _, reached in references]
     assert flags == [True] * 6 + [False, True, False] + [False] * 3
 
@@ -262,7 +267,7 @@ def assert_streams_build_many(table, alphas, seeds, marks, max_even=None, pool=N
         for k, mark in enumerate(marks):
             if g.snapshot_at(mark) is not None:
                 expected[r, k] = g.snapshot_at(mark)
-        if g.exhausted or max_even:
+        if max_even or g.num_nodes < marks[-1]:
             expected[r, len(marks)] = g
     got = streamed(table, alphas, seeds, marks, max_even, pool)
     assert sorted(got) == sorted(expected)
@@ -316,6 +321,28 @@ def test_look_ahead_drops_rows_stopped_in_flight(table_30k, workers):
         assert pool.chunk_rows[c] > sum(s >= c for s in stops)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, seeds, marks, short, stop_chunks", [
+    # under the 2000 cap rows 0-5 (-inf, -2.5) and 7 (0.7, seed 9) run out
+    ("table_2k", [7, 9, 4], (50, 150, 285), [0, 1, 2, 3, 4, 5, 7], {3}),
+    # the +inf, 0.7 and -2.5 rows stop in 256-even chunks 29, 31 and 58 (the
+    # last), and the -inf rows run out
+    ("table_30k", [9, 1, 3], (150, 600, 1780), [0, 1, 2], {29, 31, 58}),
+], ids=["2000-cap", "30000-cap"])
+def test_short_rows_come_after_every_mark_in_row_order(request, name, seeds, marks,
+                                                       short, stop_chunks, workers):
+    """Rows short of the last mark are yielded after every mark yield, in
+    ascending row order, inline and pooled; run_sweep's warnings keep it."""
+    table = request.getfixturevalue(name)
+    with RecordingPool(table, workers) if workers > 1 else nullcontext() as pool:
+        rows = list(_build_rows(table, list(MIXED_ALPHAS), seeds, None, marks, pool))
+    last = len(rows) - len(short)
+    assert [(r, k) for r, k, _ in rows[last:]] == [(r, len(marks)) for r in short]
+    assert all(k < len(marks) for _, k, _ in rows[:last])
+    assert {(g.num_edges - 1) // 256 for _, k, g in rows
+            if k >= len(marks) - 1} == stop_chunks
+
+
 @pytest.fixture(scope="module")
 def pool_2k(table_2k):
     with RecordingPool(table_2k, 2) as pool:
@@ -352,8 +379,7 @@ def test_graphs_store_int32_and_derive_source_evens(table_2k):
     g = build_many(table_2k, (0.0, INF), [1], max_even=2000)[0]
     for arr in (g.edge_p, g.edge_q, g.node_count_history):
         assert arr.dtype == np.int32
-    assert PrimeGraph.__slots__ == ("edge_p", "node_count_history", "alpha", "seed",
-                                    "exhausted")
+    assert PrimeGraph.__slots__ == ("edge_p", "node_count_history", "alpha", "seed")
     assert "edge_even" not in PrimeGraph.__slots__
     assert "edge_q" not in PrimeGraph.__slots__
     assert g.edge_even.tolist() == list(range(8, 2001, 2))
@@ -440,14 +466,14 @@ def test_sieve_exhausted(table_2k):
 
 def test_exhaust_partial_mode(table_2k):
     graphs = build_many(table_2k, 0.0, [1, 2], target_nodes=100_000)
-    assert all(g.exhausted for g in graphs)
+    assert all(g.num_nodes < 100_000 for g in graphs)
     assert all(g.num_edges > 0 for g in graphs)
     assert all(int(g.edge_even[-1]) <= table_2k.limit for g in graphs)
 
 
 def test_sieve_below_the_first_even_gives_empty_rows():
     g, = build_many(build_table(7), 0.0, [1], target_nodes=10)
-    assert g.exhausted and g.num_edges == 0 and g.num_nodes == 0
+    assert g.num_edges == 0 and g.num_nodes == 0
     with pytest.raises(SieveExhausted):
         build(build_table(7), 0.0, 1, target_nodes=10)
 

@@ -1,13 +1,18 @@
-"""Leftovers in the package source, found with ``ast`` alone: an import that
-its module never reads, and a module-level private name that no module of
-the package reads."""
+"""Leftovers in the package source: an import that its module never reads,
+a module-level private name that no module of the package reads (both found
+with ``ast``), and a public module-level name that only the tests name (found
+in the text, since the benchmark names the functions it wraps in strings)."""
 
 import ast
+import re
 from pathlib import Path
 
 import goldbachnet
 
 SOURCES = sorted(Path(goldbachnet.__file__).parent.glob("*.py"))
+# where a public name must be named for it to be more than a test helper
+USERS = [path for folder in ("demos", "bench")
+         for path in sorted((Path(__file__).resolve().parents[1] / folder).glob("*.py"))]
 
 
 def _loaded(tree):
@@ -48,20 +53,39 @@ def _read_names(tree):
     return names
 
 
+def _defined(node):
+    """The names a module-level statement defines: a def, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _unread_privates(trees):
     """Module-level ``_private`` defs and assignments that no module reads."""
     read = set().union(*map(_read_names, trees))
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            yield from (name for name in names if name.startswith("_")
+            yield from (name for name in _defined(node) if name.startswith("_")
                         and not name.startswith("__") and name not in read)
+
+
+def _unnamed_publics(texts, scanned):
+    """Public module-level defs, classes and assignments of the ``scanned``
+    keys of ``texts`` ({key: source}) that no source names as a whole word
+    outside the definition itself."""
+    for key in scanned:
+        lines = texts[key].splitlines()
+        for node in ast.parse(texts[key]).body:
+            for name in (n for n in _defined(node) if not n.startswith("_")):
+                rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                others = (text for other, text in texts.items() if other != key)
+                if not any(map(word.search, (rest, *others))):
+                    yield name
 
 
 def _parse(path):
@@ -77,6 +101,13 @@ def test_no_unread_module_private_names():
     assert list(_unread_privates([_parse(path) for path in SOURCES])) == []
 
 
+def test_no_public_name_only_the_tests_use():
+    texts = {path: path.read_text(encoding="utf-8") for path in SOURCES + USERS}
+    scanned = [path for path in SOURCES if path.name != "__init__.py"]
+    assert {path.parent.name for path in USERS} == {"demos", "bench"}
+    assert list(_unnamed_publics(texts, scanned)) == []
+
+
 def test_the_scan_finds_both_leftovers():
     main = ast.parse("import os.path\nfrom .x import y as z\nimport math\n"
                      "def _gone(): pass\ndef _kept(): return z + math.pi\n")
@@ -84,3 +115,11 @@ def test_the_scan_finds_both_leftovers():
     assert list(_unused_imports(main)) == ["os"]
     assert list(_unused_imports(other)) == ["_kept"]
     assert list(_unread_privates([main, other])) == ["_gone", "_LIMIT"]
+
+
+def test_the_scan_finds_a_public_name_only_its_definition_names():
+    texts = {"main": "def used():\n    pass\n\n\ndef lone(n):\n    return lone(n - 1)\n"
+                     "LIMIT = 1\n_hidden = 2\n",
+             "user": "from main import used\nprint('LIMIT', lone_helper)\n"}
+    assert list(_unnamed_publics(texts, ["main"])) == ["lone"]
+    assert list(_unnamed_publics(texts, ["user"])) == []
