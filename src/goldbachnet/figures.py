@@ -173,7 +173,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
         if value != default:
             raise ValueError(f"figure {figure_id} does not read {name}")
     alphas = tuple(float(a) for a in (preset["alphas"] if alphas is None else alphas))
-    realizations = SweepSpec.realizations if realizations is None else int(realizations)
+    realizations = SweepSpec.realizations if realizations is None else realizations
 
     if "max_even" in preset:
         max_even = int(max_even) if max_even is not None else preset["max_even"]

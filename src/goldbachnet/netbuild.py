@@ -25,6 +25,7 @@ _CHUNK = 256
 _BLOCK = 32
 # the log of an int64 spread is below 44, so alpha * log(delta) stays finite
 _ALPHA_MAX = np.finfo(np.float64).max / 64
+_RESET = 2.0**100  # a total S below 2**47 rounds away in S + _RESET (_picker)
 
 _worker_table = None  # a pool worker's sieve, set by its initializer _share_table
 
@@ -77,27 +78,35 @@ def _picker(delta, counts):
     pair if it rounds onto the total. alpha = +inf (-inf) picks the first
     (last) pair, whose spread is the largest (smallest).
 
-    Each row of the (evens, max count) weights is padded with copies of its
-    last log spread, so its maximum is its even's own and ``cumsum(axis=1)``
-    gives the doubles of the even's 1-D cumsum; padded slots hold at least
-    the total. Complex keys row + 1j * cum sort lexicographically, so one
-    search serves the block.
+    Weights lie flat, each even's behind reset slots +_RESET, -_RESET: a
+    weight is at most 1, so a running total S is at most a pair count, far
+    below 2**47, S + _RESET is _RESET, _RESET - _RESET is +0 and 0 + w is w,
+    and one cumsum gives each even the doubles of its own. Reset slots copy
+    the even's first log spread, so their weights stay finite. Spreads
+    descend within an even: the maximum is the first pair's (alpha >= 0) or
+    the last's. Keys row + 1j * cum sort lexicographically, so one search
+    serves the block; the +_RESET key is the previous even's and the +0 key
+    this one's, so a count less the even's first pair slot is the pick.
     """
-    first, last = counts.cumsum() - counts, counts - 1
+    first, last, slots = counts.cumsum() - counts, counts - 1, counts + 2
     rows = np.arange(counts.size)
-    slot = np.minimum(np.arange(counts.max()), last[:, None])
-    logd = np.log(delta, dtype=np.float64)[first[:, None] + slot]
-    keys = np.empty(logd.shape, dtype=np.complex128)
-    keys.real = rows[:, None]
+    start = first + 2 * rows + 2  # each even's first pair in the flat layout
+    resets = np.stack([start - 2, start - 1])
+    logd = np.log(delta, dtype=np.float64)
+    logd = np.insert(logd, np.repeat(first, 2), np.repeat(logd[first], 2))
+    keys = np.empty(logd.size, dtype=np.complex128)
+    keys.real = np.repeat(rows, slots)
+    keys.real[resets[0]] -= 1
 
     def pick(alpha, draws):
         if math.isinf(alpha):
             return np.broadcast_to(first + last * (alpha < 0), draws.shape)
         w = logd * alpha
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w).cumsum(axis=1, out=keys.imag)
-        x = rows + 1j * (draws * keys.imag[rows, last])
-        count = keys.ravel().searchsorted(x, side="right") - rows * logd.shape[1]
+        w -= np.repeat(w[start + last * (alpha < 0)], slots)
+        np.exp(w, out=w)[resets] = [[_RESET], [-_RESET]]
+        w.cumsum(out=keys.imag)
+        x = rows + 1j * (draws * keys.imag[start + last])
+        count = keys.searchsorted(x, side="right") - start
         return first + np.minimum(count, last)
 
     return pick
@@ -171,11 +180,14 @@ class PrimeGraph:
 
     def write_edge_list(self, path):
         """Plain-text export: header line, then one "p q n" line per edge."""
+        columns = self.edge_p, self.edge_q, self.edge_even
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# goldbach-net alpha={self.alpha!r} seed={self.seed} "
                      f"M={self.num_edges} N={self.num_nodes}\n")
-            fh.writelines(f"{p} {q} {n}\n" for p, q, n in zip(
-                self.edge_p.tolist(), self.edge_q.tolist(), self.edge_even.tolist()))
+            # Python ints for 4096 edges at a time: whole lists of them set the peak RSS
+            for i in range(0, self.num_edges, 4096):
+                part = (c[i:i + 4096].tolist() for c in columns)
+                fh.writelines(map("{} {} {}\n".format, *part))
 
 
 def _share_table(table):

@@ -6,9 +6,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from goldbachnet import SweepSpec, cli
+from goldbachnet import SweepSpec, cli, ensemble
 from goldbachnet.baseline import sample_gnm
 from goldbachnet.cli import main
 from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
@@ -62,6 +63,25 @@ def test_figure6_growth_table():
     assert table.header[0] == "M"
     assert len(table.rows) == (400 - 8) // 2 + 1
     assert table.rows[0][0] == 1
+
+
+@pytest.mark.parametrize("figure_id, stop", [
+    (6, {"max_even": 100}),
+    (10, {"snapshots": (50,), "max_even_cap": 20_000}),
+])
+def test_figure_passes_realizations_through(monkeypatch, figure_id, stop):
+    # SweepSpec and growth_curves check the count as passed: 2.5 is refused
+    # before any build, not truncated to 2, and a numpy int runs as its int
+    def no_build(*args):
+        raise AssertionError("built rows for a refused realization count")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensemble, "_build_rows", no_build)
+        with pytest.raises(TypeError):
+            figure_tables(figure_id, alphas=(0.0,), realizations=2.5, **stop)
+    tables = [figure_tables(figure_id, alphas=(0.0,), realizations=r, master_seed=4,
+                            **stop) for r in (2, np.int64(2))]
+    assert tables[1] == tables[0]
 
 
 def test_figure9_counts_present_only():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from goldbachnet import PrimeGraph, build, build_many, build_table, decompose
 from goldbachnet.errors import OutOfRange, SieveExhausted
 from goldbachnet.figures import figure_tables
-from goldbachnet.netbuild import (_build_rows, _chunk_picks, _new_endpoints, _picker,
-                                  _share_table)
+from goldbachnet.netbuild import (_RESET, _build_rows, _chunk_picks, _new_endpoints,
+                                  _picker, _share_table)
 
 from oracles import new_endpoints_by_search, pick_index
 
@@ -32,6 +32,22 @@ def test_kernel_slots_n24(table_2k):
     draws = np.array([0.0, 14 / 26 - 1e-9, 14 / 26 + 1e-9, 24 / 26 + 1e-9, 0.999999,
                       1.0])  # a draw at the total: last pair
     assert _kernel_picks(d, 1.0, draws).tolist() == [0, 0, 1, 2, 2, 2]
+
+
+def test_reset_slots_restart_the_cumsum(table_1m):
+    """Rows laid flat, each behind [_RESET, -_RESET], get each row's own
+    cumsum from one flat cumsum, bit for bit. A pair count under the 10**6
+    cap is at most the odd primes up to 500 000, so an all-ones row that long
+    bounds every running total the kernel sums past a reset."""
+    longest = int(np.sum(table_1m.ordered_primes <= 500_000)) - 1
+    rng = np.random.default_rng(24)
+    rows = [rng.random(1), np.ones(longest), rng.random(7),
+            np.exp(-800 * rng.random(300)), np.ones(longest), rng.random(2)]
+    cum = np.cumsum(np.concatenate([x for row in rows for x in ([_RESET, -_RESET], row)]))
+    start = 2
+    for row in rows:
+        assert cum[start:start + row.size].tobytes() == np.cumsum(row).tobytes()
+        start += row.size + 2
 
 
 def test_kernel_uniform_at_alpha_zero(table_2k):
@@ -511,7 +527,7 @@ def test_build_many_checks_every_seed(table_2k):
     assert g.seed == 2**64 - 1
 
 
-def test_edge_list_export(tmp_path, table_2k):
+def test_edge_list_export(tmp_path, table_2k, table_30k):
     g = build(table_2k, -INF, 6, max_even=12)
     path = tmp_path / "edges.txt"
     g.write_edge_list(path)
@@ -520,6 +536,12 @@ def test_edge_list_export(tmp_path, table_2k):
         "# goldbach-net alpha=-inf seed=6 M=3 N=3\n"
         "3 5 8\n3 7 10\n5 7 12\n"
     )
+    # 9997 edges, written 4096 at a time: every line in order across the seams
+    g = build(table_30k, 0.0, 6, max_even=20_000)
+    g.write_edge_list(path)
+    assert path.read_text().splitlines()[1:] == [
+        f"{p} {q} {n}" for p, q, n in zip(g.edge_p.tolist(), g.edge_q.tolist(),
+                                          g.edge_even.tolist())]
 
 
 def test_selection_frequencies_3sigma_large_even(table_1m):
@@ -607,8 +629,9 @@ def test_new_endpoints_match_the_search_oracle(table_30k):
 
 
 def test_grid_build_memory_stays_bounded(table_1m):
-    # the six grid alphas at one seed to 4000 nodes, run alone: about 5.5 MB
-    # with blocks of 32 even numbers, 3-byte records and a growing seen, 6.3 MB
+    # the six grid alphas at one seed to 4000 nodes, run alone: about 4.9 MB
+    # with flat blocks of 32 even numbers, 3-byte records and a growing seen,
+    # 5.6 MB with each even padded to the block's largest pair count, 6.3 MB
     # with 5-byte records and seen over all the sieve's primes, about 20 MB
     # with whole 256-even chunks
     tracemalloc.start()
@@ -621,11 +644,25 @@ def test_grid_build_memory_stays_bounded(table_1m):
     assert peak < 7 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
+def test_single_build_memory_stays_bounded(table_1m):
+    # one 5000-node build at alpha = -2.5, run alone: about 3.8 MB with each
+    # 32-even block's weights laid flat, 4.7 MB with each even padded to the
+    # block's largest pair count
+    tracemalloc.start()
+    try:
+        build(table_1m, -2.5, 1, target_nodes=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
+
+
 def test_twenty_seed_build_memory_stays_bounded(table_1m):
     # one grid cell's construction, 20 rows to 4000 nodes (about 37k edges
-    # each), run alone: about 11.1 MB with 3-byte records and seen grown to
-    # the picked primes, 13.9 MB with 5-byte records and seen over all 78 498
-    # primes of the sieve; the 20 graphs returned hold 5.9 MB of that
+    # each), run alone: about 10.4 MB with 3-byte records, seen grown to the
+    # picked primes and flat blocks (11.1 MB padded), 13.9 MB with 5-byte
+    # records and seen over all 78 498 primes of the sieve; the 20 graphs
+    # returned hold 5.9 MB of that
     tracemalloc.start()
     try:
         build_many(table_1m, -2.5, range(20), target_nodes=4000)

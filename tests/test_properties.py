@@ -74,20 +74,26 @@ def test_construction_is_goldbach_simple_and_prefix_closed(table_2k, alpha, seed
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
-    n0=st.integers(4, 49_990).map(lambda i: 2 * i),
+    # up to the top of table_1m (a 32-even block ends at or below 10**6 + 2),
+    # where evens have thousands of pairs
+    n0=st.integers(4, 499_970).map(lambda i: 2 * i),
     width=st.integers(1, 32),
-    alpha=st.sampled_from((-math.inf, -150.0, -2.5, 0.0, 1.3, 150.0, math.inf)),
+    alpha=st.sampled_from((-math.inf, -2.8e306, -150.0, -2.5, 0.0, 1.3, 150.0,
+                           2.8e306, math.inf)),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n0=999_940, width=32, alpha=-2.8e306, seed=1)
 def test_block_picks_equal_the_per_even_oracle(table_1m, n0, width, alpha, seed):
     """The block kernel picks what the per-even law picks, bit for bit, for
     draws of 0, the largest double below 1, 1 itself (the only draw that
-    reaches the total) and random ones."""
+    reaches the total) and random ones, and raises no overflow or invalid
+    operation, even at the largest finite |alpha|."""
     d = decompose(table_1m, range(n0, n0 + 2 * width, 2))
     special = np.array([0.0, np.nextafter(1.0, 0.0), 1.0])[:, None]
     draws = np.vstack([np.broadcast_to(special, (3, width)),
                        np.random.default_rng(seed).random((4, width))])
-    picks = _picker(d.delta, d.counts)(alpha, draws)
+    with np.errstate(over="raise", invalid="raise"):
+        picks = _picker(d.delta, d.counts)(alpha, draws)
     first = np.cumsum(d.counts) - d.counts
     for k, (lo, hi) in enumerate(zip(first, first + d.counts)):
         assert np.array_equal(picks[:, k] - lo,
