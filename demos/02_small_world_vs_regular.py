@@ -6,12 +6,7 @@
 # lattice-like structure). The matched G(N, M) sample calibrates what
 # "random" would look like at the same size and density.
 
-from goldbachnet import (
-    baseline_report,
-    build,
-    build_table,
-    compute_report,
-)
+from goldbachnet import build, build_table, compute_report, sample_gnm
 
 table = build_table(200_000)
 
@@ -20,7 +15,7 @@ print(f"{'alpha':>6} {'N':>5} {'M':>6} {'d':>7} {'d_rand':>7} "
 for alpha in (2.0, 0.0, -2.5, float("-inf")):
     g = build(table, alpha, 7, target_nodes=1_500)
     rep = compute_report(g)
-    base = baseline_report(rep.n_nodes, rep.n_edges, seed=7)
+    base = compute_report(sample_gnm(rep.n_nodes, rep.n_edges, seed=7))
     r_text = "n/a" if rep.r is None else f"{rep.r:+.3f}"
     print(f"{alpha:>6} {rep.n_nodes:>5} {rep.n_edges:>6} {rep.d:>7.3f} "
           f"{base.d:>7.3f} {rep.C:>8.5f} {base.C:>8.5f} {rep.k_max:>5} "

@@ -8,7 +8,7 @@ ensembles over alpha sweeps and node-count snapshots.
 """
 
 from . import errors
-from .baseline import GnmGraph, baseline_report, sample_gnm
+from .baseline import GnmGraph, sample_gnm
 from .ensemble import (
     AggregateStats,
     EnsembleResult,
@@ -22,14 +22,7 @@ from .ensemble import (
     run_sweep,
 )
 from .goldbach import Decomposition, decompose
-from .metrics import (
-    MetricsReport,
-    assortativity,
-    clustering,
-    compute_report,
-    degree_stats,
-    shortest_distance_stats,
-)
+from .metrics import MetricsReport, compute_report
 from .netbuild import PrimeGraph, build, build_many
 from .primes import PrimeTable, build_table
 
@@ -47,20 +40,15 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "aggregate",
-    "assortativity",
-    "baseline_report",
     "baseline_seed",
     "build",
     "build_many",
     "build_table",
-    "clustering",
     "compute_report",
     "decompose",
-    "degree_stats",
     "errors",
     "growth_curves",
     "realization_seed",
     "run_sweep",
     "sample_gnm",
-    "shortest_distance_stats",
 ]

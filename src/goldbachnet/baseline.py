@@ -3,7 +3,6 @@
 import numpy as np
 
 from .errors import InfeasibleNullModel
-from .metrics import compute_report
 from .netbuild import check_seed
 
 _SORT_BITS = 63  # packed sort keys stay below 2**63; beyond, a stable argsort
@@ -76,8 +75,3 @@ def sample_gnm(n_nodes, m_edges, seed):
             first[order[np.diff(stream[order], prepend=-1) != 0]] = True
         keys = stream[first][:m]
     return GnmGraph(n, *np.divmod(keys, n), seed)
-
-
-def baseline_report(n_nodes, m_edges, seed, clustering_convention="standard"):
-    """Metrics of one sampled null graph, in the same report type."""
-    return compute_report(sample_gnm(n_nodes, m_edges, seed), clustering_convention)

@@ -13,6 +13,7 @@ directory or a failed worker pool).
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -78,6 +79,13 @@ def _manifest_config(args):
         config["alphas"] = [repr(a) for a in config["alphas"]]
     config["out"] = str(args.out)
     return config
+
+
+def _check_out(out):
+    """Raise unless ``out``'s nearest existing ancestor is a writable directory."""
+    base = next(path for path in (out, *out.absolute().parents) if path.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise OSError(f"--out {out}: {base} is not a writable directory")
 
 
 def _write_manifest(args, argv, artifacts, started):
@@ -265,6 +273,7 @@ def main(argv=None):
     args = parser.parse_args(_merge_negative_values(argv))
     started = time.time()
     try:
+        _check_out(args.out)  # creates nothing: a failed run leaves no --out
         artifacts = args.handler(args)
         _write_manifest(args, argv, artifacts, started)
         return 0

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .baseline import baseline_report
+from .baseline import sample_gnm
 from .errors import GoldbachNetError
 from .metrics import (CLUSTERING_CONVENTIONS, DISTRIBUTIONS, SCALAR_FIELDS,
                       compute_report)
@@ -198,7 +198,8 @@ def _measure(spec, row, si, sub):
     alpha_index, realization = divmod(row, spec.realizations)
     seed = baseline_seed(spec.master_seed, alpha_index, realization, si)
     return (compute_report(sub, spec.clustering),
-            baseline_report(sub.num_nodes, sub.num_edges, seed, spec.clustering))
+            compute_report(sample_gnm(sub.num_nodes, sub.num_edges, seed),
+                           spec.clustering))
 
 
 @contextmanager

@@ -25,8 +25,12 @@ _TRIANGLE_EDGES = 1024
 class MetricsReport:
     """Scalar and distribution statistics of one undirected graph.
 
-    ``r`` is None when assortativity is undefined (zero degree variance
-    across edge endpoints). Distribution maps carry only occupied bins.
+    ``d`` and ``p_of_j`` are over reachable unordered pairs, and
+    ``reachable_fraction`` is their share of all N(N-1)/2. ``C`` averages
+    over all nodes, a node without a neighbor pair counting 0, with
+    denominator k(k-1)/2 ("standard") or k(k+1)/2 ("paper"). ``r`` is None
+    when undefined: no edges, or a degree-regular edge set. Distribution
+    maps carry only occupied bins.
     """
 
     n_nodes: int
@@ -233,40 +237,20 @@ def _assortativity(adj):
     return num / den
 
 
+# compute_report's four parts, kept by name for bench/spans.py, which times each
 def shortest_distance_stats(graph):
-    """Mean shortest distance and the distance distribution.
-
-    Returns
-    -------
-    (d, p_of_j, reachable_fraction, giant_component_size)
-        d averages over reachable unordered pairs; p_of_j maps distance to
-        probability over those pairs; reachable_fraction is their share of
-        all N(N-1)/2 pairs.
-    """
     return _distance_stats(_adjacency(graph))
 
 
 def clustering(graph, convention="standard"):
-    """Mean clustering coefficient and its restriction per degree.
-
-    ``convention`` picks the neighbor-pair denominator: "standard" uses
-    k(k-1)/2, "paper" uses k(k+1)/2. Nodes whose denominator is zero
-    contribute 0, keeping C an average over all nodes.
-    """
     return _clustering(_adjacency(graph), convention)
 
 
 def degree_stats(graph):
-    """Degree distribution P(k), mean degree, degree spread, max degree."""
     return _degree_stats(_adjacency(graph))
 
 
 def assortativity(graph):
-    """Newman degree correlation over edges, each edge counted once.
-
-    Raises UndefinedAssortativity when every edge joins equal-degree
-    endpoints (zero variance), rather than reporting a silent 0.
-    """
     return _assortativity(_adjacency(graph))
 
 

@@ -62,6 +62,34 @@ def pick_index(delta, alpha, draws):
     return cum[:-1].searchsorted(draws * cum[-1], side="right")
 
 
+def expected_node_counts(decomp, alpha, link_counts):
+    """Exact E[N(M)] of the construction at each M of ``link_counts``.
+
+    ``decomp`` holds every pair of the even numbers 8, 10, ... in order:
+    prime positions ``ip``, ``iq``, spreads ``delta`` and per-even
+    ``counts``. Each even number draws its own uniform, so after the first
+    M of them prime p is absent with probability prod_n (1 - P_n(p)), where
+    P_n(p) is the float64 weight share delta**alpha of p's pair at n (a
+    prime is in at most one pair of n); E[N(M)] sums 1 - that over primes.
+    """
+    ip, iq, counts = decomp.ip, decomp.iq, decomp.counts
+    even = np.repeat(np.arange(counts.size), counts)
+    logw = alpha * np.log(decomp.delta.astype(np.float64))
+    logw -= np.maximum.reduceat(logw, np.cumsum(counts) - counts)[even]
+    w = np.exp(logw)
+    share = w / np.bincount(even, weights=w)[even]
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a single pair
+        log_miss = np.log1p(-share)
+    nodes = int(max(ip.max(), iq.max())) + 1
+    out = []
+    for m in link_counts:
+        end = int(counts[:m].sum())
+        log_absent = (np.bincount(ip[:end], log_miss[:end], nodes)
+                      + np.bincount(iq[:end], log_miss[:end], nodes))
+        out.append(float(-np.expm1(log_absent).sum()))
+    return out
+
+
 def new_endpoints_by_search(ordered_primes, seen, rows, j, p):
     """Count per edge (uint8) of its endpoints new to its row, for the
     smaller primes ``p`` (rows, evens) picked from the even numbers from

@@ -18,20 +18,20 @@ from goldbachnet import (
     build,
     build_many,
     decompose,
-    degree_stats,
     growth_curves,
     realization_seed,
     run_sweep,
-    shortest_distance_stats,
-    clustering,
     SweepSpec,
 )
+from goldbachnet.metrics import clustering, degree_stats, shortest_distance_stats
 from goldbachnet.cli import main as cli_main
+from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
 from goldbachnet.netbuild import _picker
 
 from oracles import (
     TinyGraph,
     brute_force_pairs,
+    expected_node_counts,
     floyd_warshall_stats,
     newman_r,
     per_node_clustering,
@@ -346,6 +346,26 @@ def test_criterion_09_growth_curves():
     mask = np.arange(1, fast.n_mean.size + 1) >= 100  # M = position + 1
     below = int(np.sum(fast.n_mean[mask] < slow.n_mean[mask]))
     assert below == 0, f"N(M | alpha=2) < N(M | alpha=-2) at {below} points"
+
+
+def test_figure6_growth_matches_its_exact_expectation(table_30k):
+    """Figure 6's mean N(M) against E[N(M)] (oracles.expected_node_counts),
+    which one decompose and the float64 weights give without the selection
+    kernel. |t| <= 4.90 is the two-sided 1e-4 tail of Student's t with 19
+    degrees of freedom, fixed before any run; late checkpoints share
+    uniforms across alphas and move together, so the bound is per cell."""
+    preset = FIGURE_DEFAULTS[6]
+    rows = figure_tables(6, realizations=20, master_seed=MASTER_SEED)["N_vs_M"].rows
+    decomp = decompose(table_30k, range(8, preset["max_even"] + 1, 2))
+    link_counts = (10, 100, 1000, 3000, 6000, 9997)
+    assert len(rows) == link_counts[-1]
+    for ai, alpha in enumerate(preset["alphas"]):
+        expected = expected_node_counts(decomp, alpha, link_counts)
+        for m, e in zip(link_counts, expected):
+            mean, std = rows[m - 1][1 + 2 * ai:3 + 2 * ai]
+            # |t| <= 4.90 with t = (mean - E) / (std / sqrt(20)), std 0 included
+            assert abs(mean - e) <= 4.90 * std / math.sqrt(20), (
+                f"alpha={alpha}, M={m}: mean {mean}, std {std}, E {e}")
 
 
 def test_criterion_10_connectivity_discontinuity(table_1m):

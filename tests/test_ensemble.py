@@ -12,7 +12,6 @@ from goldbachnet import (
     SweepCell,
     SweepSpec,
     aggregate,
-    baseline_report,
     baseline_seed,
     build_many,
     build_table,
@@ -20,6 +19,7 @@ from goldbachnet import (
     growth_curves,
     realization_seed,
     run_sweep,
+    sample_gnm,
 )
 from goldbachnet import ensemble
 from goldbachnet.ensemble import SEED_RULE
@@ -155,8 +155,9 @@ def _reference_sweep(spec):
                 if sub is not None:
                     seed = baseline_seed(spec.master_seed, ai, i, si)
                     reps.append(compute_report(sub, spec.clustering))
-                    breps.append(baseline_report(sub.num_nodes, sub.num_edges,
-                                                 seed, spec.clustering))
+                    breps.append(compute_report(sample_gnm(sub.num_nodes,
+                                                           sub.num_edges, seed),
+                                                spec.clustering))
             cells.append(SweepCell(alpha, n_star, len(reps),
                                    aggregate(reps) if reps else None,
                                    aggregate(breps) if reps else None))

@@ -285,14 +285,19 @@ def test_cli_unwritable_out_exits_3_before_the_sieve(tmp_path, capsys, monkeypat
         raise AssertionError("an unwritable --out reached the sieve")
 
     monkeypatch.setattr(cli, "build_table", no_sieve)
+    monkeypatch.setattr(ensemble, "build_table", no_sieve)
     plain_file = tmp_path / "plain"
     plain_file.write_text("")
-    out = plain_file / "x"
-    assert main(["build", "--alpha", "-2.5", "--target-nodes", "5000",
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert str(out) in err
+    for argv in (["build", "--alpha", "-2.5", "--target-nodes", "5000"],
+                 ["sweep", "--alphas", "0,-2.5", "--snapshots", "500,2000",
+                  "--realizations", "4"],
+                 ["figure", "6"], ["figure", "10"]):
+        for out in (plain_file / "x", plain_file, plain_file / "x" / "y"):
+            assert main([*argv, "--out", str(out)]) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(out) in err
+    assert plain_file.read_text() == "" and list(tmp_path.iterdir()) == [plain_file]
 
 
 def test_cli_empty_lists_and_low_snapshots_exit_2(tmp_path, capsys):

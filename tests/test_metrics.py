@@ -4,16 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from goldbachnet import (
-    assortativity,
-    build,
-    clustering,
-    compute_report,
-    degree_stats,
-    metrics,
-    sample_gnm,
-    shortest_distance_stats,
-)
+from goldbachnet import build, compute_report, metrics, sample_gnm
+from goldbachnet.metrics import (assortativity, clustering, degree_stats,
+                                 shortest_distance_stats)
 from goldbachnet.errors import DegenerateGraph, UndefinedAssortativity
 from goldbachnet.metrics import CLUSTERING_CONVENTIONS
 
@@ -140,6 +133,28 @@ def test_triangle_assortativity_undefined():
 def test_assortativity_no_edges():
     with pytest.raises(UndefinedAssortativity):
         assortativity(TinyGraph(3, []))
+
+
+@pytest.mark.parametrize("kind", ["prime", "gnm", "cycle"])
+def test_benchmark_probes_return_the_report_fields(table_30k, kind):
+    """The four functions the traced benchmark times as the parts of
+    compute_report return exactly its fields; on a degree-regular graph r
+    is None and assortativity raises."""
+    g = {"prime": lambda: build(table_30k, -1.0, 5, target_nodes=400),
+         "gnm": lambda: sample_gnm(400, 1200, 11),
+         "cycle": lambda: TinyGraph(6, [(i, (i + 1) % 6) for i in range(6)])}[kind]()
+    for convention in CLUSTERING_CONVENTIONS:
+        rep = compute_report(g, convention)
+        assert clustering(g, convention) == (rep.C, rep.C_by_degree)
+    assert shortest_distance_stats(g) == (rep.d, rep.p_of_j, rep.reachable_fraction,
+                                          rep.giant_component_size)
+    assert degree_stats(g) == (rep.P_of_k, rep.mean_k, rep.f_k, rep.k_max)
+    if kind == "cycle":
+        assert rep.r is None
+        with pytest.raises(UndefinedAssortativity):
+            assortativity(g)
+    else:
+        assert rep.r is not None and assortativity(g) == rep.r
 
 
 def test_small_graphs_match_oracles():

@@ -12,22 +12,17 @@ PUBLIC_NAMES = [
     "SweepCell",
     "SweepSpec",
     "aggregate",
-    "assortativity",
-    "baseline_report",
     "baseline_seed",
     "build",
     "build_many",
     "build_table",
-    "clustering",
     "compute_report",
     "decompose",
-    "degree_stats",
     "errors",
     "growth_curves",
     "realization_seed",
     "run_sweep",
     "sample_gnm",
-    "shortest_distance_stats",
 ]
 
 
