@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .errors import InfeasibleNullModel
 from .netbuild import check_seed
 
 _SORT_BITS = 63  # packed sort keys stay below 2**63; beyond, a stable argsort
@@ -41,8 +40,8 @@ def sample_gnm(n_nodes, m_edges, seed):
     the pairs: it is exactly uniform over M-edge simple graphs. M is far below
     N**2/2 in every use here, so rejection stays cheap. Raises ValueError
     below 2 nodes, above 3 037 000 500 nodes (pair keys ``lo * n + hi`` would
-    overflow int64) or for a seed outside 64 unsigned bits, and
-    InfeasibleNullModel unless 0 <= m_edges <= n_nodes * (n_nodes - 1) / 2.
+    overflow int64), unless 0 <= m_edges <= n_nodes * (n_nodes - 1) / 2, or
+    for a seed outside 64 unsigned bits.
     """
     n, m = n_nodes, m_edges
     if n < 2:
@@ -51,7 +50,7 @@ def sample_gnm(n_nodes, m_edges, seed):
         raise ValueError(f"pair keys fit int64 up to 3037000500 nodes, got {n}")
     max_edges = n * (n - 1) // 2
     if not 0 <= m <= max_edges:
-        raise InfeasibleNullModel(
+        raise ValueError(
             f"m_edges={m} outside [0, {max_edges}] for {n} nodes")
     seed = check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -6,9 +6,9 @@ statistics, ``sweep`` runs a seeded ensemble over an alpha grid, and
 a manifest listing each artifact with its SHA-256 digest; identical
 invocations with the same seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 flag or configuration error, 3 runtime error
-(for example an unreachable node-count target, an unwritable output
-directory or a failed worker pool).
+Exit codes: 0 success; 2 for a flag refused before the sieve; 3 for an
+unwritable output directory or anything after the sieve (an unreachable
+node-count target, or any error in the run, as one "run failed" line).
 """
 
 import argparse
@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GoldbachNetError
-from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, run_sweep
+from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, _sieve_and_pool, run_sweep
 from .figures import FIGURE_DEFAULTS, alpha_label, figure_tables
 from .metrics import CLUSTERING_CONVENTIONS, DISTRIBUTIONS, compute_report
 from .netbuild import _check_even_bound, build, check_run, check_seed
-from .primes import build_table
 
 
 def _parse_alpha(text):
@@ -113,14 +112,14 @@ def _cmd_build(args):
         raise ValueError("build with max_even does not read max_even_cap")
     _check_even_bound(args.max_even_cap, "max_even_cap")
     check_seed(args.seed)
-    (args.out / "edges").mkdir(parents=True, exist_ok=True)  # fails before the sieve
-    (args.out / "distributions").mkdir(exist_ok=True)
-    table = build_table(args.max_even if args.max_even is not None
-                        else args.max_even_cap)
-    graph = build(table, args.alpha, args.seed, max_even=args.max_even,
-                  target_nodes=args.target_nodes)
-    report = compute_report(graph, args.clustering)
+    bound = args.max_even_cap if args.max_even is None else args.max_even
+    with _sieve_and_pool(bound, 1) as (table, _):
+        graph = build(table, args.alpha, args.seed, max_even=args.max_even,
+                      target_nodes=args.target_nodes)
+        report = compute_report(graph, args.clustering)
 
+    (args.out / "edges").mkdir(parents=True, exist_ok=True)
+    (args.out / "distributions").mkdir(exist_ok=True)
     artifacts = [Path("edges") / "graph.txt", Path("report.json")]
     graph.write_edge_list(args.out / artifacts[0])
     _write_json(args.out / artifacts[1],

@@ -73,7 +73,7 @@ class SweepSpec:
     clustering: str = "standard"
 
     def __post_init__(self):
-        snaps = tuple(int(s) for s in self.snapshot_nodes)
+        snaps = tuple(map(operator.index, self.snapshot_nodes))
         if not snaps or any(b <= a for a, b in zip(snaps, snaps[1:])):
             raise ValueError("snapshot_nodes must be nonempty, strictly increasing")
         # every snapshot is a node-count target; the first is the smallest
@@ -205,7 +205,8 @@ def _measure(spec, row, si, sub):
 @contextmanager
 def _sieve_and_pool(limit, workers):
     """Check ``workers``, then yield the sieve up to ``limit`` and a pool of
-    ``workers`` processes sharing it, or None for one."""
+    ``workers`` processes sharing it, or None for one. Any error inside but a
+    GoldbachNetError (a dead worker, a fault in a task) is re-raised as one."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = build_table(limit)
@@ -215,10 +216,10 @@ def _sieve_and_pool(limit, workers):
         pool = ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
     try:
         yield table, pool
-    except Exception as exc:  # a dead worker, or an error raised in a task
-        if pool is None or isinstance(exc, GoldbachNetError):
-            raise
-        raise GoldbachNetError(f"worker pool failed: {exc!r}") from exc
+    except GoldbachNetError:
+        raise
+    except Exception as exc:
+        raise GoldbachNetError(f"run failed: {exc!r}") from exc
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -255,17 +256,17 @@ def run_sweep(spec, workers=1):
         if pool:
             measured = {key: task.result() for key, task in measured.items()}
 
-    cells = []
-    for ai, alpha in enumerate(spec.alphas):
-        rows = range(ai * len(seeds), (ai + 1) * len(seeds))
-        for si, n_star in enumerate(spec.snapshot_nodes):
-            pairs = [measured[r, si] for r in rows if (r, si) in measured]
-            if pairs:
-                reps, breps = zip(*pairs)
-                cells.append(SweepCell(alpha, n_star, len(pairs), aggregate(reps),
-                                       aggregate(breps)))
-            else:
-                cells.append(SweepCell(alpha, n_star, 0, None, None))
+        cells = []
+        for ai, alpha in enumerate(spec.alphas):
+            rows = range(ai * len(seeds), (ai + 1) * len(seeds))
+            for si, n_star in enumerate(spec.snapshot_nodes):
+                pairs = [measured[r, si] for r in rows if (r, si) in measured]
+                if pairs:
+                    reps, breps = zip(*pairs)
+                    cells.append(SweepCell(alpha, n_star, len(pairs), aggregate(reps),
+                                           aggregate(breps)))
+                else:
+                    cells.append(SweepCell(alpha, n_star, 0, None, None))
     return EnsembleResult(spec=spec, cells=cells, warnings=warnings)
 
 
@@ -286,7 +287,7 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     to ``max_even``, so M = 1..(max_even - 8)/2 + 1 for all, and keeps only
     node-count histories; each curve equals that of its alpha alone.
     """
-    max_even = int(max_even)
+    max_even = operator.index(max_even)
     alphas, realizations, master_seed = _check_rows(
         np.ravel(alphas), (max_even, None), realizations, master_seed)
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]

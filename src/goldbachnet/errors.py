@@ -1,20 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types of a failed run; a bad argument raises ValueError instead."""
 
 
 class GoldbachNetError(Exception):
-    """Base class for every error this package raises deliberately."""
-
-
-class InvalidBound(GoldbachNetError):
-    """Sieve bound too small to hold any primes."""
-
-
-class OutOfRange(GoldbachNetError):
-    """A query or construction needs primes beyond the sieve bound."""
-
-
-class InvalidEvenNumber(GoldbachNetError):
-    """Decomposition requested for an odd number or an even number below 8."""
+    """A run that failed after its arguments were accepted: what it found
+    (the subclasses), or any other error inside a sweep, a growth run or the
+    CLI's build, re-raised as "run failed: ..."."""
 
 
 class UndecomposableEven(GoldbachNetError):
@@ -35,7 +25,3 @@ class DegenerateGraph(GoldbachNetError):
 
 class UndefinedAssortativity(GoldbachNetError):
     """Degree correlation is 0/0 because all edge endpoints have equal degree."""
-
-
-class InfeasibleNullModel(GoldbachNetError):
-    """Requested G(N, M) has more edges than distinct node pairs."""

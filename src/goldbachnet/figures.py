@@ -176,7 +176,7 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
     realizations = SweepSpec.realizations if realizations is None else realizations
 
     if "max_even" in preset:
-        max_even = int(max_even) if max_even is not None else preset["max_even"]
+        max_even = preset["max_even"] if max_even is None else max_even
         curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
         cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
         rows = [[m, *row] for m, row in enumerate(cols.tolist(), 1)]

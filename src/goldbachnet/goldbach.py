@@ -8,7 +8,7 @@ spread (delta = n - 2p), which the selection machinery in
 
 import numpy as np
 
-from .errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
+from .errors import UndecomposableEven
 
 
 class Decomposition:
@@ -55,20 +55,19 @@ def decompose(table, n):
 
     Raises
     ------
-    InvalidEvenNumber
-        If n is odd or below 8, or the range is empty or not of step 2.
-    OutOfRange
-        If the sieve is too small for the largest even number.
+    ValueError
+        If n is odd or below 8, the range is empty or not of step 2, or
+        the sieve is too small for the largest even number.
     UndecomposableEven
         Naming the first even number without a pair (never observed for
         even n >= 8; fatal on purpose).
     """
     evens = n if isinstance(n, range) else range(int(n), int(n) + 1, 2)
     if not evens or evens.step != 2 or evens[0] < 8 or evens[0] % 2:
-        raise InvalidEvenNumber(f"need even numbers >= 8 in steps of 2, got {n}")
+        raise ValueError(f"need even numbers >= 8 in steps of 2, got {n}")
     n0, n1 = evens[0], evens[-1]
     if n1 > table.limit + 3:
-        raise OutOfRange(
+        raise ValueError(
             f"{n1} needs primes up to {n1 - 3}, sieve stops at {table.limit}"
         )
     primes = table.ordered_primes

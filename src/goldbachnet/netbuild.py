@@ -9,14 +9,14 @@ distinct sums, and within one number only a single pair is kept.
 """
 
 import math
+import operator
 from collections import deque
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import OutOfRange, SieveExhausted
+from .errors import SieveExhausted
 from .goldbach import decompose
 
 # even numbers per node-counting pass of _build_rows, and per decompose and
@@ -32,17 +32,17 @@ _worker_table = None  # a pool worker's sieve, set by its initializer _share_tab
 
 def _check_even_bound(bound, name):
     """Raise ValueError unless ``bound``, the largest even number a build may
-    consume, is even and >= 8."""
-    if bound < 8 or bound % 2:
+    consume, is even and >= 8, and TypeError unless it is integral."""
+    if operator.index(bound) < 8 or bound % 2:
         raise ValueError(f"{name} must be even and >= 8, got {bound}")
 
 
 def check_run(alpha, stop):
     """Validate a spread exponent and a stop rule; return float alpha.
 
-    ``stop`` is ``(max_even, target_nodes)``, exactly one of them set:
-    process every even number up to and including ``max_even``, or stop
-    once the node count first reaches ``target_nodes``.
+    ``stop`` is ``(max_even, target_nodes)``, exactly one of them set, and
+    integral: process every even number up to and including ``max_even``,
+    or stop once the node count first reaches ``target_nodes``.
     """
     alpha = float(alpha)
     if math.isnan(alpha):
@@ -54,7 +54,7 @@ def check_run(alpha, stop):
         raise ValueError("set exactly one of max_even / target_nodes")
     if max_even is not None:
         _check_even_bound(max_even, "max_even")
-    if target_nodes is not None and target_nodes < 2:
+    if target_nodes is not None and operator.index(target_nodes) < 2:
         raise ValueError(f"target_nodes must be >= 2, got {target_nodes}")
     return alpha
 
@@ -331,13 +331,13 @@ def build_many(table, alphas, seeds, *, max_even=None, target_nodes=None):
     alphas = [check_run(a, (max_even, target_nodes)) for a in np.ravel(alphas)]
     seeds = [check_seed(s) for s in seeds]
     if max_even is not None and max_even > table.limit:
-        raise OutOfRange(
+        raise ValueError(
             f"max_even={max_even} needs a sieve up to it, "
             f"table stops at {table.limit}"
         )
     marks = () if target_nodes is None else (target_nodes,)
     rows = _build_rows(table, alphas, seeds, max_even, marks)
-    return [graph for _, _, graph in sorted(rows, key=itemgetter(0))]
+    return [graph for _, _, graph in sorted(rows, key=operator.itemgetter(0))]
 
 
 def build(table, alpha, seed, *, max_even=None, target_nodes=None):

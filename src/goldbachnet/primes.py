@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .errors import InvalidBound
-
 
 class PrimeTable:
     """The primes up to ``limit``, in ascending order.
@@ -40,7 +38,7 @@ def build_table(limit):
     """
     limit = int(limit)
     if limit < 2:
-        raise InvalidBound(f"sieve bound must be >= 2, got {limit}")
+        raise ValueError(f"sieve bound must be >= 2, got {limit}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, int(limit**0.5) + 1):

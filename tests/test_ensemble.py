@@ -318,6 +318,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match=f"^max_even_cap must be even and >= 8, "
                                              f"got {cap}$"):
             SweepSpec(alphas=(0.0,), snapshot_nodes=(10,), max_even_cap=cap)
+    for fractional in ({"snapshot_nodes": (250.7,)}, {"snapshot_nodes": (10, 250.0)},
+                       {"snapshot_nodes": (10,), "max_even_cap": 20_000.0}):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SweepSpec(alphas=(0.0,), **fractional)
 
 
 def test_spec_rejects_unknown_clustering():
@@ -344,11 +348,14 @@ def test_spec_stores_the_ints_it_checked():
     # the seeds of master seed 1 are run, so 1 is recorded
     spec = SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), master_seed=1.5)
     assert spec.master_seed == 1 and type(spec.master_seed) is int
-    # a fractional realization count is refused at construction, before any work
+    # a fractional realization count or bound is refused at construction,
+    # before any work
     with pytest.raises(TypeError):
         SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), realizations=2.5)
     with pytest.raises(TypeError):
         growth_curves((0.0,), 500, realizations=2.5, master_seed=1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        growth_curves([0.0], 200.7, 2, 1)
 
 
 def test_json_document_roundtrip():

@@ -71,7 +71,8 @@ def test_figure6_growth_table():
 ])
 def test_figure_passes_realizations_through(monkeypatch, figure_id, stop):
     # SweepSpec and growth_curves check the count as passed: 2.5 is refused
-    # before any build, not truncated to 2, and a numpy int runs as its int
+    # before any build, not truncated to 2, and a numpy int runs as its int;
+    # the same holds for figure 6's max_even
     def no_build(*args):
         raise AssertionError("built rows for a refused realization count")
 
@@ -79,6 +80,9 @@ def test_figure_passes_realizations_through(monkeypatch, figure_id, stop):
         patch.setattr(ensemble, "_build_rows", no_build)
         with pytest.raises(TypeError):
             figure_tables(figure_id, alphas=(0.0,), realizations=2.5, **stop)
+        if "max_even" in stop:
+            with pytest.raises(TypeError):
+                figure_tables(figure_id, alphas=(0.0,), max_even=100.5)
     tables = [figure_tables(figure_id, alphas=(0.0,), realizations=r, master_seed=4,
                             **stop) for r in (2, np.int64(2))]
     assert tables[1] == tables[0]
@@ -266,7 +270,7 @@ def test_cli_flag_errors_exit_2(tmp_path, capsys, monkeypatch):
     def no_sieve(limit):
         raise AssertionError("a bad flag reached the sieve")
 
-    monkeypatch.setattr(cli, "build_table", no_sieve)
+    monkeypatch.setattr(ensemble, "build_table", no_sieve)
     for flags, message in BUILD_FLAG_ERRORS:
         out = tmp_path / "bad"
         assert main(["build", *flags, "--out", str(out)]) == 2, flags
@@ -284,7 +288,6 @@ def test_cli_unwritable_out_exits_3_before_the_sieve(tmp_path, capsys, monkeypat
     def no_sieve(limit):
         raise AssertionError("an unwritable --out reached the sieve")
 
-    monkeypatch.setattr(cli, "build_table", no_sieve)
     monkeypatch.setattr(ensemble, "build_table", no_sieve)
     plain_file = tmp_path / "plain"
     plain_file.write_text("")
@@ -334,6 +337,7 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "exhausted at 1000 " in err  # the cap is the last even consumed
+    assert not (tmp_path / "x").exists()  # directories are made only to write
 
 
 def _worker_dies(*args):
@@ -344,22 +348,51 @@ def _task_raises(*args):
     raise RuntimeError("injected fault")
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("_worker_dies", "BrokenProcessPool("),
-    ("_task_raises", "RuntimeError('injected fault')"),
+def _value_error(*args):
+    raise ValueError("injected")
+
+
+def _index_error(*args):
+    raise IndexError("injected")
+
+
+SWEEP = ["sweep", "--alphas", "0", "--snapshots", "50", "--realizations", "2",
+         "--max-even-cap", "20000", "--workers"]
+FIGURE_6 = ["figure", "6", "--alphas", "0,-1", "--max-even", "2000",
+            "--realizations", "2", "--workers"]
+BUILD = ["build", "--alpha", "0", "--target-nodes", "50", "--max-even-cap", "20000"]
+
+
+@pytest.mark.parametrize("patched, fault, argv, message", [
+    pytest.param("ensemble._measure", "_worker_dies", [*SWEEP, "2"],
+                 "BrokenProcessPool(", id="_worker_dies-BrokenProcessPool("),
+    pytest.param("ensemble._measure", "_task_raises", [*SWEEP, "2"],
+                 "RuntimeError('injected fault')",
+                 id="_task_raises-RuntimeError('injected fault')"),
+    pytest.param("ensemble._measure", "_value_error", [*SWEEP, "1"],
+                 "ValueError('injected')", id="sweep-1-ValueError"),
+    pytest.param("ensemble._measure", "_index_error", [*SWEEP, "2"],
+                 "IndexError('injected')", id="sweep-2-IndexError"),
+    pytest.param("netbuild._chunk_picks", "_index_error", [*FIGURE_6, "1"],
+                 "IndexError('injected')", id="figure6-1-IndexError"),
+    pytest.param("netbuild._chunk_picks", "_value_error", [*FIGURE_6, "2"],
+                 "ValueError('injected')", id="figure6-2-ValueError"),
+    pytest.param("cli.compute_report", "_value_error", BUILD,
+                 "ValueError('injected')", id="build-ValueError"),
+    pytest.param("cli.compute_report", "_index_error", BUILD,
+                 "IndexError('injected')", id="build-IndexError"),
 ])
-def test_cli_failed_pool_exits_3_with_one_line(tmp_path, fault, message):
-    """A pool worker that dies, or a metrics task that raises, ends a pooled
-    sweep with exit 3 and one error line. The fault is a module-level
-    function, so that it pickles, and the run has a timeout."""
+def test_cli_failed_pool_exits_3_with_one_line(tmp_path, patched, fault, argv, message):
+    """A fault after the sieve, in one process or in a pool (a worker that
+    dies, a task that raises), ends any command with exit 3, one "run failed"
+    line and no --out. The fault is a module-level function, so that it
+    pickles, and the run has a timeout."""
     code = textwrap.dedent(f"""\
         import sys
         import test_figures_cli
-        from goldbachnet import cli, ensemble
-        ensemble._measure = test_figures_cli.{fault}
-        sys.exit(cli.main(["sweep", "--alphas", "0", "--snapshots", "50",
-                           "--realizations", "2", "--max-even-cap", "20000",
-                           "--workers", "2", "--out", sys.argv[1]]))
+        from goldbachnet import cli, ensemble, netbuild
+        {patched} = test_figures_cli.{fault}
+        sys.exit(cli.main({argv!r} + ["--out", sys.argv[1]]))
     """)
     paths = [Path(cli.__file__).resolve().parents[1], Path(__file__).resolve().parent]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
@@ -367,8 +400,8 @@ def test_cli_failed_pool_exits_3_with_one_line(tmp_path, fault, message):
     proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith(f"error: worker pool failed: {message}"), proc.stderr
-    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: run failed: {message}"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from goldbachnet import build_many, cli, decompose, ensemble
-from goldbachnet.errors import InvalidEvenNumber, OutOfRange, UndecomposableEven
+from goldbachnet.errors import UndecomposableEven
 from goldbachnet.netbuild import _build_rows, _share_table
 from goldbachnet.primes import PrimeTable, build_table
 
@@ -69,11 +69,11 @@ def test_pair_invariants(table_30k):
 
 
 def test_validation_errors(table_2k):
-    with pytest.raises(InvalidEvenNumber):
+    with pytest.raises(ValueError, match="^need even numbers >= 8 in steps of 2, got 7$"):
         decompose(table_2k, 7)
-    with pytest.raises(InvalidEvenNumber):
+    with pytest.raises(ValueError, match="^need even numbers >= 8 in steps of 2, got 6$"):
         decompose(table_2k, 6)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="^2010 needs primes up to 2007, sieve stops at"):
         decompose(table_2k, 2010)
 
 
@@ -108,9 +108,9 @@ def test_range_decomposition_matches_brute_force_up_to_1m(table_1m):
 
 def test_range_validation(table_2k):
     for bad in (range(8, 8, 2), range(8, 20, 4), range(6, 20, 2), range(9, 21, 2)):
-        with pytest.raises(InvalidEvenNumber):
+        with pytest.raises(ValueError, match="^need even numbers >= 8 in steps of 2"):
             decompose(table_2k, bad)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="^2008 needs primes up to 2005, sieve stops at"):
         decompose(table_2k, range(1990, 2010, 2))
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldbachnet import PrimeGraph, build, build_many, build_table, decompose
-from goldbachnet.errors import OutOfRange, SieveExhausted
+from goldbachnet.errors import SieveExhausted
 from goldbachnet.figures import figure_tables
 from goldbachnet.netbuild import (_RESET, _build_rows, _chunk_picks, _new_endpoints,
                                   _picker, _share_table)
@@ -495,7 +495,8 @@ def test_sieve_below_the_first_even_gives_empty_rows():
 
 
 def test_max_even_beyond_sieve(table_2k):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="^max_even=50000 needs a sieve up to it, "
+                                         "table stops at 2000$"):
         build(table_2k, 0.0, 1, max_even=50_000)
 
 
@@ -516,6 +517,11 @@ def test_config_validation(table_2k):
         for fn in (build, build_one):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 fn(table_2k, alpha, seed, **stop)
+    # a fractional count or bound is refused, not truncated or compared as a float
+    for stop in ({"target_nodes": 2.5}, {"target_nodes": 10.5}, {"max_even": 200.0}):
+        for fn in (build, build_one):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                fn(table_2k, 0.0, 1, **stop)
 
 
 def test_build_many_checks_every_seed(table_2k):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from goldbachnet import build_table
-from goldbachnet.errors import InvalidBound
 
 from oracles import trial_division_primes
 
@@ -65,5 +64,5 @@ def test_determinism():
 
 
 def test_invalid_bound():
-    with pytest.raises(InvalidBound):
+    with pytest.raises(ValueError, match="^sieve bound must be >= 2, got 1$"):
         build_table(1)
