@@ -8,7 +8,7 @@ invocations with the same seed produce byte-identical artifacts.
 
 Exit codes: 0 success; 2 for a flag refused before the sieve; 3 for an
 unwritable output directory or anything after the sieve (an unreachable
-node-count target, or any error in the run, as one "run failed" line).
+node-count target, or any error in the run or its output, as one line).
 """
 
 import argparse
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GoldbachNetError
-from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, _sieve_and_pool, run_sweep
+from .ensemble import (DEFAULT_MAX_EVEN_CAP, SweepSpec, _failed_run, _sieve_and_pool,
+                       run_sweep)
 from .figures import FIGURE_DEFAULTS, alpha_label, figure_tables
 from .metrics import CLUSTERING_CONVENTIONS, DISTRIBUTIONS, compute_report
 from .netbuild import _check_even_bound, build, check_run, check_seed
@@ -118,16 +119,17 @@ def _cmd_build(args):
                       target_nodes=args.target_nodes)
         report = compute_report(graph, args.clustering)
 
-    (args.out / "edges").mkdir(parents=True, exist_ok=True)
-    (args.out / "distributions").mkdir(exist_ok=True)
-    artifacts = [Path("edges") / "graph.txt", Path("report.json")]
-    graph.write_edge_list(args.out / artifacts[0])
-    _write_json(args.out / artifacts[1],
-                {"alpha": repr(graph.alpha), "seed": graph.seed, **report.to_dict()})
-    for name, x_name in DISTRIBUTIONS.items():
-        rel = Path("distributions") / f"{name}.csv"
-        write_csv(args.out / rel, [x_name, name], sorted(getattr(report, name).items()))
-        artifacts.append(rel)
+        (args.out / "edges").mkdir(parents=True, exist_ok=True)
+        (args.out / "distributions").mkdir(exist_ok=True)
+        artifacts = [Path("edges") / "graph.txt", Path("report.json")]
+        graph.write_edge_list(args.out / artifacts[0])
+        _write_json(args.out / artifacts[1], {"alpha": repr(graph.alpha),
+                                              "seed": graph.seed, **report.to_dict()})
+        for name, x_name in DISTRIBUTIONS.items():
+            rel = Path("distributions") / f"{name}.csv"
+            write_csv(args.out / rel, [x_name, name],
+                      sorted(getattr(report, name).items()))
+            artifacts.append(rel)
 
     r_text = "undefined" if report.r is None else f"{report.r:.6g}"
     print(
@@ -148,21 +150,22 @@ def _cmd_sweep(args):
     )
     result = run_sweep(spec, workers=args.workers)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    artifacts = [Path("sweep.json")]
-    _write_json(args.out / "sweep.json", result.to_json_dict())
-    if args.format == "csv":
-        rows = []
-        for cell in result.cells:
-            for side in ("network", "baseline"):
-                agg = getattr(cell, side)
-                if agg is not None:
-                    rows += [[alpha_label(cell.alpha), cell.snapshot, side, field,
-                              st.mean, st.std, st.count]
-                             for field, st in agg.scalars.items()]
-        header = ["alpha", "snapshot", "side", "field", "mean", "std", "count"]
-        write_csv(args.out / "cells.csv", header, rows)
-        artifacts.append(Path("cells.csv"))
+    with _failed_run():
+        args.out.mkdir(parents=True, exist_ok=True)
+        artifacts = [Path("sweep.json")]
+        _write_json(args.out / "sweep.json", result.to_json_dict())
+        if args.format == "csv":
+            rows = []
+            for cell in result.cells:
+                for side in ("network", "baseline"):
+                    agg = getattr(cell, side)
+                    if agg is not None:
+                        rows += [[alpha_label(cell.alpha), cell.snapshot, side, field,
+                                  st.mean, st.std, st.count]
+                                 for field, st in agg.scalars.items()]
+            header = ["alpha", "snapshot", "side", "field", "mean", "std", "count"]
+            write_csv(args.out / "cells.csv", header, rows)
+            artifacts.append(Path("cells.csv"))
 
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -183,11 +186,12 @@ def _cmd_figure(args):
         workers=args.workers,
     )
     fig_dir = Path(f"fig{args.figure}")
-    (args.out / fig_dir).mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    for stem, table in sorted(tables.items()):
-        artifacts.append(fig_dir / f"{stem}.csv")
-        write_csv(args.out / artifacts[-1], table.header, table.rows)
+    with _failed_run():
+        (args.out / fig_dir).mkdir(parents=True, exist_ok=True)
+        artifacts = []
+        for stem, table in sorted(tables.items()):
+            artifacts.append(fig_dir / f"{stem}.csv")
+            write_csv(args.out / artifacts[-1], table.header, table.rows)
     print(f"fig{args.figure}: " + ", ".join(sorted(tables)))
     return artifacts
 
@@ -274,7 +278,8 @@ def main(argv=None):
     try:
         _check_out(args.out)  # creates nothing: a failed run leaves no --out
         artifacts = args.handler(args)
-        _write_manifest(args, argv, artifacts, started)
+        with _failed_run():
+            _write_manifest(args, argv, artifacts, started)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

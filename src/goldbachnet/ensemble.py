@@ -203,10 +203,21 @@ def _measure(spec, row, si, sub):
 
 
 @contextmanager
+def _failed_run():
+    """Re-raise errors inside as "run failed: ..." but for a GoldbachNetError
+    and an OSError, whose message names its file."""
+    try:
+        yield
+    except (GoldbachNetError, OSError):
+        raise
+    except Exception as exc:
+        raise GoldbachNetError(f"run failed: {exc!r}") from exc
+
+
+@contextmanager
 def _sieve_and_pool(limit, workers):
     """Check ``workers``, then yield the sieve up to ``limit`` and a pool of
-    ``workers`` processes sharing it, or None for one. Any error inside but a
-    GoldbachNetError (a dead worker, a fault in a task) is re-raised as one."""
+    ``workers`` processes sharing it, or None for one, as a ``_failed_run``."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = build_table(limit)
@@ -215,11 +226,8 @@ def _sieve_and_pool(limit, workers):
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(workers, initializer=_share_table, initargs=(table,))
     try:
-        yield table, pool
-    except GoldbachNetError:
-        raise
-    except Exception as exc:
-        raise GoldbachNetError(f"run failed: {exc!r}") from exc
+        with _failed_run():
+            yield table, pool
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)

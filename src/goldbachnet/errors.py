@@ -3,8 +3,8 @@
 
 class GoldbachNetError(Exception):
     """A run that failed after its arguments were accepted: what it found
-    (the subclasses), or any other error inside a sweep, a growth run or the
-    CLI's build, re-raised as "run failed: ..."."""
+    (the subclasses), or any other error after the sieve (in the run, in
+    folding its tables or in writing its output), re-raised as "run failed: ..."."""
 
 
 class UndecomposableEven(GoldbachNetError):

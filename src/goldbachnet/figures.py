@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import DEFAULT_MAX_EVEN_CAP, SweepSpec, growth_curves, run_sweep
+from .ensemble import (DEFAULT_MAX_EVEN_CAP, SweepSpec, _failed_run, growth_curves,
+                       run_sweep)
 from .metrics import DISTRIBUTIONS
 
 _N_LADDER = (250, 500, 1000, 2000, 4000)
@@ -178,10 +179,11 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
     if "max_even" in preset:
         max_even = preset["max_even"] if max_even is None else max_even
         curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
-        cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
-        rows = [[m, *row] for m, row in enumerate(cols.tolist(), 1)]
-        header = _alpha_columns("M", "N", ("mean", "std"), alphas)
-        return {"N_vs_M": Table(header, rows)}
+        with _failed_run():
+            cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
+            rows = [[m, *row] for m, row in enumerate(cols.tolist(), 1)]
+            header = _alpha_columns("M", "N", ("mean", "std"), alphas)
+            return {"N_vs_M": Table(header, rows)}
 
     spec = SweepSpec(
         alphas=alphas,
@@ -192,5 +194,6 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
         clustering=clustering,
     )
     result = run_sweep(spec, workers=workers)
-    return {stem: _TABLE_KINDS[kind](result, *args)
-            for stem, (kind, *args) in preset["tables"].items()}
+    with _failed_run():
+        return {stem: _TABLE_KINDS[kind](result, *args)
+                for stem, (kind, *args) in preset["tables"].items()}

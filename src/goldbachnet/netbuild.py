@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import SieveExhausted
-from .goldbach import decompose
+from .goldbach import _window, decompose
 
 # even numbers per node-counting pass of _build_rows, and per decompose and
 # pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
@@ -196,19 +196,20 @@ def _share_table(table):
 
 
 def _chunk_picks(table, j, size, groups, draws):
-    """(rows, size, 2) int32 prime indices (ip, iq) picked per ``(alpha, lo, hi)``
-    group of ``draws`` rows for the evens from 8 + 2j on; workers pass no table."""
+    """(rows, size, 2) int32 (ip, iq) picked per ``(alpha, lo, hi)`` group of ``draws``
+    rows for the evens from 8 + 2j, 32 a block from one window; workers pass no table."""
     table = _worker_table if table is None else table
     evens = range(8 + 2 * j, 8 + 2 * (j + size), 2)
+    window = _window(table, evens)
     idx = np.empty((*draws.shape, 2), dtype=np.int32)
     for c in range(0, size, _BLOCK):
         block = slice(c, c + _BLOCK)
-        decomp = decompose(table, evens[block])
+        decomp = decompose(table, evens[block], window)
         pick = _picker(decomp.delta, decomp.counts)
         for alpha, lo, hi in groups:
-            k = pick(alpha, draws[lo:hi, block])
-            idx[lo:hi, block, 0] = decomp.ip[k]
-            idx[lo:hi, block, 1] = decomp.iq[k]
+            k = decomp._order[pick(alpha, draws[lo:hi, block])]
+            idx[lo:hi, block, 0] = decomp._ip[k]
+            idx[lo:hi, block, 1] = decomp._iq[k]
     return idx
 
 

@@ -62,6 +62,18 @@ def pick_index(delta, alpha, draws):
     return cum[:-1].searchsorted(draws * cum[-1], side="right")
 
 
+def weight_shares(decomp, alpha):
+    """``(even, share)`` per pair of ``decomp``: the position of its even
+    number in the range, and the float64 share P_n of its weight delta**alpha
+    among that even's pairs (max-rescaled, so finite alpha never overflows)."""
+    counts = decomp.counts
+    even = np.repeat(np.arange(counts.size), counts)
+    logw = alpha * np.log(decomp.delta.astype(np.float64))
+    logw -= np.maximum.reduceat(logw, np.cumsum(counts) - counts)[even]
+    w = np.exp(logw)
+    return even, w / np.bincount(even, weights=w)[even]
+
+
 def expected_node_counts(decomp, alpha, link_counts):
     """Exact E[N(M)] of the construction at each M of ``link_counts``.
 
@@ -73,11 +85,7 @@ def expected_node_counts(decomp, alpha, link_counts):
     prime is in at most one pair of n); E[N(M)] sums 1 - that over primes.
     """
     ip, iq, counts = decomp.ip, decomp.iq, decomp.counts
-    even = np.repeat(np.arange(counts.size), counts)
-    logw = alpha * np.log(decomp.delta.astype(np.float64))
-    logw -= np.maximum.reduceat(logw, np.cumsum(counts) - counts)[even]
-    w = np.exp(logw)
-    share = w / np.bincount(even, weights=w)[even]
+    share = weight_shares(decomp, alpha)[1]
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf: a single pair
         log_miss = np.log1p(-share)
     nodes = int(max(ip.max(), iq.max())) + 1
@@ -88,6 +96,30 @@ def expected_node_counts(decomp, alpha, link_counts):
                       + np.bincount(iq[:end], log_miss[:end], nodes))
         out.append(float(-np.expm1(log_absent).sum()))
     return out
+
+
+def spread_class(delta):
+    """Class b of each spread: 2**(b + 1) <= delta < 2**(b + 2), so the
+    least spread, 2, is in class 0."""
+    return np.frexp(np.asarray(delta, dtype=np.float64))[1] - 2
+
+
+def expected_class_counts(decomp, alpha):
+    """Exact mean and covariance of the spread-class counts of one build over
+    the even numbers of ``decomp``, a range from 8 on.
+
+    Each even number n picks one pair on its own uniform, so the picks are
+    independent across even numbers: the class counts are a sum of one-hot
+    vectors of class shares P_n (float64, ``weight_shares``), with mean
+    mu = sum_n P_n and covariance diag(mu) - sum_n P_n P_n^T.
+    """
+    even, share = weight_shares(decomp, alpha)
+    cls = spread_class(decomp.delta)
+    n_cls = int(cls.max()) + 1
+    per_even = np.bincount(even * n_cls + cls, share,
+                           decomp.counts.size * n_cls).reshape(-1, n_cls)
+    mu = per_even.sum(axis=0)
+    return mu, np.diag(mu) - per_even.T @ per_even
 
 
 def new_endpoints_by_search(ordered_primes, seen, rows, j, p):

@@ -31,11 +31,13 @@ from goldbachnet.netbuild import _picker
 from oracles import (
     TinyGraph,
     brute_force_pairs,
+    expected_class_counts,
     expected_node_counts,
     floyd_warshall_stats,
     newman_r,
     per_node_clustering,
     random_small_graph,
+    spread_class,
     trial_division_primes,
 )
 
@@ -366,6 +368,28 @@ def test_figure6_growth_matches_its_exact_expectation(table_30k):
             # |t| <= 4.90 with t = (mean - E) / (std / sqrt(20)), std 0 included
             assert abs(mean - e) <= 4.90 * std / math.sqrt(20), (
                 f"alpha={alpha}, M={m}: mean {mean}, std {std}, E {e}")
+
+
+def test_picked_spread_classes_match_their_exact_law(table_30k):
+    """The selection law over every even number of 20 builds to 20 000: the
+    class counts of the picked spreads (2**(b + 1) <= delta < 2**(b + 2),
+    14 classes) against their exact mean and covariance
+    (oracles.expected_class_counts), by the Mahalanobis distance with the
+    last class dropped, since the counts sum to the number of links. Under
+    the law it is chi-squared with 13 degrees of freedom; 40.9 is its 1e-4
+    upper tail, fixed before any run."""
+    max_even, alphas = 20_000, (-2.0, -1.0, 2.0)
+    seeds = [realization_seed(MASTER_SEED, i) for i in range(20)]
+    graphs = build_many(table_30k, alphas, seeds, max_even=max_even)
+    decomp = decompose(table_30k, range(8, max_even + 1, 2))
+    for ai, alpha in enumerate(alphas):
+        mu, cov = expected_class_counts(decomp, alpha)
+        assert mu.size == 14
+        spreads = np.concatenate([g.edge_q - g.edge_p
+                                  for g in graphs[ai * 20:(ai + 1) * 20]])
+        diff = (np.bincount(spread_class(spreads), minlength=mu.size) - 20 * mu)[:-1]
+        chi2 = float(diff @ np.linalg.solve(20 * cov[:-1, :-1], diff))
+        assert chi2 <= 40.9, f"alpha={alpha}: chi2 {chi2:.1f} on 13 degrees of freedom"
 
 
 def test_criterion_10_connectivity_discontinuity(table_1m):

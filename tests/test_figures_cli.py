@@ -381,16 +381,25 @@ BUILD = ["build", "--alpha", "0", "--target-nodes", "50", "--max-even-cap", "200
                  "ValueError('injected')", id="build-ValueError"),
     pytest.param("cli.compute_report", "_index_error", BUILD,
                  "IndexError('injected')", id="build-IndexError"),
+    *[pytest.param("cli.write_csv", fault, argv, message, id=f"write-{argv[0]}-{fault}")
+      for argv in (BUILD, [*SWEEP, "1", "--format", "csv"], [*FIGURE_6, "1"])
+      for fault, message in (("_value_error", "ValueError('injected')"),
+                             ("_task_raises", "RuntimeError('injected fault')"))],
+    pytest.param("figures._TABLE_KINDS['vs_N']", "_value_error",
+                 ["figure", "8", "--alphas", "0", "--snapshots", "50", "--realizations",
+                  "2", "--max-even-cap", "20000", "--workers", "1"],
+                 "ValueError('injected')", id="figure8-fold-ValueError"),
 ])
 def test_cli_failed_pool_exits_3_with_one_line(tmp_path, patched, fault, argv, message):
     """A fault after the sieve, in one process or in a pool (a worker that
-    dies, a task that raises), ends any command with exit 3, one "run failed"
-    line and no --out. The fault is a module-level function, so that it
-    pickles, and the run has a timeout."""
+    dies, a task that raises), in folding a figure's tables or in writing the
+    artifacts, ends any command with exit 3, one "run failed" line and no
+    manifest; no --out either, unless the fault came in writing it. The fault
+    is a module-level function, so that it pickles, and the run has a timeout."""
     code = textwrap.dedent(f"""\
         import sys
         import test_figures_cli
-        from goldbachnet import cli, ensemble, netbuild
+        from goldbachnet import cli, ensemble, figures, netbuild
         {patched} = test_figures_cli.{fault}
         sys.exit(cli.main({argv!r} + ["--out", sys.argv[1]]))
     """)
@@ -402,7 +411,23 @@ def test_cli_failed_pool_exits_3_with_one_line(tmp_path, patched, fault, argv, m
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: run failed: {message}"), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
-    assert not out.exists()
+    assert not (out / "manifest.json").exists()
+    assert not out.exists() or patched == "cli.write_csv"
+
+
+def test_cli_write_os_error_exits_3_naming_its_file(tmp_path, monkeypatch, capsys):
+    """An OSError while writing the artifacts exits 3 with its own message,
+    which names the file, not a "run failed" repr that drops it."""
+    def deny(path, *args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "write_csv", deny)
+    out = tmp_path / "out"
+    assert main([*BUILD, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied: ") and err.count("\n") == 1
+    assert str(out / "distributions") in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_nan_alpha_exit_2(tmp_path):

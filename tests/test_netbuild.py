@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 import pickle
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,6 +596,41 @@ def test_largest_finite_alpha_builds_the_infinite_graphs(table_30k):
             finite = build(table_30k, alpha, 5, max_even=20_000)
             limit = build(table_30k, math.copysign(INF, alpha), 5, max_even=20_000)
             assert np.array_equal(finite.edge_p, limit.edge_p)
+
+
+def test_chunk_picks_equal_the_per_even_oracle_at_large_n(table_1m):
+    """Every pick of a chunk task, which enumerates its blocks from one window
+    of prime counts, is the pair that the per-even law picks on that even's
+    own decomposition: chunks up to about 10**5, sizes that split into 32-even
+    blocks or leave a short last block, and one chunk ending at the sieve
+    bound, at every kind of alpha, with no overflow or invalid operation."""
+    alphas = (0.0, -0.0, 1.0, -1.0, -2.5, 150.0, -150.0, 2.8e306, -2.8e306, INF, -INF)
+    groups = [(alpha, i, i + 1) for i, alpha in enumerate(alphas)]
+    rng = np.random.default_rng(20260808)
+    last = (table_1m.limit - 8) // 2  # j of the even 10**6
+    chunks = [(int(rng.integers(0, 49_000)), size) for size in (1, 31, 96, 200, 256)]
+    for j, size in chunks + [(last - 166, 167)]:
+        draws = rng.random((len(alphas), size))
+        with np.errstate(over="raise", invalid="raise"):
+            idx = _chunk_picks(table_1m, j, size, groups, draws)
+        for i, n in enumerate(range(8 + 2 * j, 8 + 2 * (j + size), 2)):
+            d = decompose(table_1m, n)
+            with np.errstate(over="raise", invalid="raise"):
+                k = [pick_index(d.delta, alpha, draws[r, i:i + 1])[0]
+                     for r, alpha in enumerate(alphas)]
+            assert np.array_equal(idx[:, i, 0], d.ip[k]), (n, j, size)
+            assert np.array_equal(idx[:, i, 1], d.iq[k]), (n, j, size)
+    assert 8 + 2 * last == table_1m.limit
+
+
+def test_5000_node_build_matches_the_benchmark_digest(tmp_path, table_1m):
+    """The edge list of the build_one benchmark workload (alpha = -2.5, seed
+    1, 5000 nodes, evens up to 96 044), against the digest the benchmark
+    checks its output with."""
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference_digests.json"
+    expected = json.loads(reference.read_text())["build_one"]["edges/graph.txt"]
+    build(table_1m, -2.5, 1, target_nodes=5000).write_edge_list(tmp_path / "graph.txt")
+    assert hashlib.sha256((tmp_path / "graph.txt").read_bytes()).hexdigest() == expected
 
 
 def test_new_endpoints_match_the_search_oracle(table_30k):
