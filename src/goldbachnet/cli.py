@@ -6,6 +6,10 @@ statistics, ``sweep`` runs a seeded ensemble over an alpha grid, and
 a manifest listing each artifact with its SHA-256 digest; identical
 invocations with the same seed produce byte-identical artifacts.
 
+A handler checks its flags, runs, prints, and maps each artifact's path under
+``--out`` to ``(writer, *args)``; ``main`` alone creates ``--out``, after the
+run, and writes the artifacts and the manifest under one failed-run wrap.
+
 Exit codes: 0 success; 2 for a flag refused before the sieve; 3 for an
 unwritable output directory or anything after the sieve (an unreachable
 node-count target, or any error in the run or its output, as one line).
@@ -65,7 +69,11 @@ def _write_json(path, doc):
 
 def _sha256(path):
     import hashlib  # on use, so that importing the CLI loads no OpenSSL
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # in blocks: the artifacts' data is still held
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _manifest_config(args):
@@ -118,24 +126,17 @@ def _cmd_build(args):
         graph = build(table, args.alpha, args.seed, max_even=args.max_even,
                       target_nodes=args.target_nodes)
         report = compute_report(graph, args.clustering)
-
-        (args.out / "edges").mkdir(parents=True, exist_ok=True)
-        (args.out / "distributions").mkdir(exist_ok=True)
-        artifacts = [Path("edges") / "graph.txt", Path("report.json")]
-        graph.write_edge_list(args.out / artifacts[0])
-        _write_json(args.out / artifacts[1], {"alpha": repr(graph.alpha),
-                                              "seed": graph.seed, **report.to_dict()})
+        artifacts = {Path("edges", "graph.txt"): (graph.write_edge_list,),
+                     Path("report.json"): (_write_json, {"alpha": repr(graph.alpha),
+                                                        "seed": graph.seed,
+                                                        **report.to_dict()})}
         for name, x_name in DISTRIBUTIONS.items():
-            rel = Path("distributions") / f"{name}.csv"
-            write_csv(args.out / rel, [x_name, name],
-                      sorted(getattr(report, name).items()))
-            artifacts.append(rel)
+            artifacts[Path("distributions", f"{name}.csv")] = (
+                write_csv, [x_name, name], sorted(getattr(report, name).items()))
 
     r_text = "undefined" if report.r is None else f"{report.r:.6g}"
-    print(
-        f"N={report.n_nodes} M={report.n_edges} d={report.d:.6g} "
-        f"C={report.C:.6g} r={r_text}"
-    )
+    print(f"N={report.n_nodes} M={report.n_edges} d={report.d:.6g} "
+          f"C={report.C:.6g} r={r_text}")
     return artifacts
 
 
@@ -149,27 +150,19 @@ def _cmd_sweep(args):
         clustering=args.clustering,
     )
     result = run_sweep(spec, workers=args.workers)
-
-    with _failed_run():
-        args.out.mkdir(parents=True, exist_ok=True)
-        artifacts = [Path("sweep.json")]
-        _write_json(args.out / "sweep.json", result.to_json_dict())
-        if args.format == "csv":
-            rows = []
-            for cell in result.cells:
-                for side in ("network", "baseline"):
-                    agg = getattr(cell, side)
-                    if agg is not None:
-                        rows += [[alpha_label(cell.alpha), cell.snapshot, side, field,
-                                  st.mean, st.std, st.count]
-                                 for field, st in agg.scalars.items()]
-            header = ["alpha", "snapshot", "side", "field", "mean", "std", "count"]
-            write_csv(args.out / "cells.csv", header, rows)
-            artifacts.append(Path("cells.csv"))
-
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"cells={len(result.cells)} warnings={len(result.warnings)}")
+    # derived as they are written, so that a fault there is a failed run too
+    artifacts = {Path("sweep.json"):
+                 (lambda path: _write_json(path, result.to_json_dict()),)}
+    if args.format == "csv":
+        header = ["alpha", "snapshot", "side", "field", "mean", "std", "count"]
+        rows = ([alpha_label(c.alpha), c.snapshot, side, field, st.mean, st.std, st.count]
+                for c in result.cells for side in ("network", "baseline")
+                if getattr(c, side) is not None
+                for field, st in getattr(c, side).scalars.items())
+        artifacts[Path("cells.csv")] = (write_csv, header, rows)
     return artifacts
 
 
@@ -185,15 +178,9 @@ def _cmd_figure(args):
         clustering=args.clustering,
         workers=args.workers,
     )
-    fig_dir = Path(f"fig{args.figure}")
-    with _failed_run():
-        (args.out / fig_dir).mkdir(parents=True, exist_ok=True)
-        artifacts = []
-        for stem, table in sorted(tables.items()):
-            artifacts.append(fig_dir / f"{stem}.csv")
-            write_csv(args.out / artifacts[-1], table.header, table.rows)
     print(f"fig{args.figure}: " + ", ".join(sorted(tables)))
-    return artifacts
+    return {Path(f"fig{args.figure}", f"{stem}.csv"): (write_csv, table.header, table.rows)
+            for stem, table in tables.items()}
 
 
 def _add_common(parser):
@@ -278,15 +265,15 @@ def main(argv=None):
     try:
         _check_out(args.out)  # creates nothing: a failed run leaves no --out
         artifacts = args.handler(args)
-        with _failed_run():
+        with _failed_run():  # the one write path, so a failed write is a failed run
+            for rel, (write, *rest) in artifacts.items():
+                (args.out / rel).parent.mkdir(parents=True, exist_ok=True)
+                write(args.out / rel, *rest)
             _write_manifest(args, argv, artifacts, started)
         return 0
-    except ValueError as exc:
+    except (ValueError, GoldbachNetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GoldbachNetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

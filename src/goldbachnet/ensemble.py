@@ -50,11 +50,14 @@ def baseline_seed(master_seed, alpha_index, realization, snapshot_index):
 
 def _check_rows(alphas, stop, realizations, master_seed):
     """Check the rows of an ensemble: its alphas, each under check_run's stop
-    rule ``stop``, its integral realizations and master seed; return them as
-    a tuple of floats, an int and an int."""
+    rule ``stop`` and distinct as floats (0 and -0 are one), its integral
+    realizations and master seed; return them as a tuple of floats, an int and
+    an int."""
     alphas = tuple(check_run(a, stop) for a in alphas)
     if not alphas:
         raise ValueError("alphas must be nonempty")
+    if len(set(alphas)) < len(alphas):  # a cell is found by its alpha
+        raise ValueError(f"alphas must be distinct, got {alphas}")
     realizations = operator.index(realizations)  # a TypeError unless integral
     if realizations < 1:
         raise ValueError("realizations must be >= 1")

@@ -72,7 +72,9 @@ class Table:
 
 
 def alpha_label(alpha):
-    return f"{float(alpha):g}"
+    """``alpha`` as ``:g`` text where that reads back as ``alpha``, else its repr."""
+    text = f"{float(alpha):g}"
+    return text if float(text) == alpha else repr(float(alpha))
 
 
 def _alpha_columns(first, name, stats, alphas):

@@ -266,3 +266,30 @@ def random_small_graph(rng, max_nodes=8):
     m = int(rng.integers(1, len(pairs) + 1))
     chosen = rng.choice(len(pairs), size=m, replace=False)
     return n, [pairs[i] for i in chosen]
+
+
+def _log_choose(a, b):
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def gnm_degree_pmf(n, m):
+    """P(k) for k = 0..min(m, n - 1): the degree of one node of a uniform
+    G(n, m) is hypergeometric, m draws from the n(n - 1)/2 pairs, n - 1 of
+    which touch the node."""
+    pairs = n * (n - 1) // 2
+    return np.exp([_log_choose(n - 1, k) + _log_choose(pairs - n + 1, m - k)
+                   - _log_choose(pairs, m) for k in range(min(m, n - 1) + 1)])
+
+
+def gnm_expected_clustering(n, m, convention="standard"):
+    """Exact E[C] of a uniform G(n, m), C the mean over all nodes with 0 for
+    a degree below 2. Given degree k, the other m - k edges are uniform over
+    the C(n - 1, 2) pairs that miss the node, so each neighbour pair is
+    linked with probability (m - k)/C(n - 1, 2); "paper" divides by
+    k(k + 1)/2, not k(k - 1)/2, a factor (k - 1)/(k + 1)."""
+    pk = gnm_degree_pmf(n, m)
+    k = np.arange(pk.size)
+    c = (m - k) / math.comb(n - 1, 2)
+    if convention == "paper":
+        c = c * (k - 1) / (k + 1)
+    return float(pk[2:] @ c[2:])

@@ -4,9 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import gnm_by_set
+from oracles import gnm_by_set, gnm_degree_pmf, gnm_expected_clustering
 
 from goldbachnet import compute_report, sample_gnm
+from goldbachnet.metrics import CLUSTERING_CONVENTIONS, _adjacency, _clustering
 
 
 def test_forced_triangle():
@@ -92,6 +93,64 @@ def test_clustering_matches_erdos_renyi_expectation():
     cs = np.array(cs)
     expected = 6 / 999
     assert abs(cs.mean() - expected) < 3 * cs.std(ddof=1) / np.sqrt(runs)
+
+
+def _degree_bins(expected, least=10.0):
+    """Cut points that group degrees 0, 1, ... so that each bin expects at
+    least ``least`` counts, the remainder joining the last bin."""
+    cuts, acc = [], 0.0
+    for k, e in enumerate(expected):
+        acc += e
+        if acc >= least:
+            cuts.append(k + 1)
+            acc = 0.0
+    cuts[-1] = expected.size
+    return cuts
+
+
+# Bounds fixed from their tails before any run, each at 1e-4:
+#   t: two-sided, Student t with 19 degrees of freedom;
+#   chi2: upper tail with df = bins - 1, the bins fixed by _degree_bins;
+#   max z: two-sided and family-wise over the n nodes, from the exact law
+#     of a node's 20-run degree sum (the 20-fold convolution of the pmf).
+@pytest.mark.parametrize("n, m, df, chi2_bound, z_bound", [
+    (4000, 37269, 31, 69.1, 5.70),
+    (250, 400, 9, 33.7, 5.45),
+])
+def test_gnm_matches_its_exact_laws_at_full_size(n, m, df, chi2_bound, z_bound):
+    """Over 20 seeds: the mean C' under both conventions against its exact
+    expectation, the pooled degrees against the hypergeometric pmf, and each
+    node's mean degree against its exact mean and variance, so a fault that
+    touches one node shows too."""
+    runs = 20
+    clustering = {conv: [] for conv in CLUSTERING_CONVENTIONS}
+    degrees = np.empty((runs, n), dtype=np.int64)
+    for seed in range(runs):
+        g = sample_gnm(n, m, seed + 1)
+        adj = _adjacency(g)
+        for conv, values in clustering.items():
+            values.append(_clustering(adj, conv)[0])
+        degrees[seed] = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=n)
+
+    for conv, values in clustering.items():
+        t = ((np.mean(values) - gnm_expected_clustering(n, m, conv))
+             / (np.std(values, ddof=1) / math.sqrt(runs)))
+        assert abs(t) < 4.897, (conv, t)
+
+    pk = gnm_degree_pmf(n, m)
+    cuts = _degree_bins(runs * n * pk)
+    assert len(cuts) - 1 == df
+    starts = [0, *cuts[:-1]]
+    expected = runs * n * np.add.reduceat(pk, starts)
+    observed = np.add.reduceat(np.bincount(degrees.ravel(), minlength=pk.size), starts)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < chi2_bound, chi2
+
+    k = np.arange(pk.size)
+    mean_k = 2 * m / n
+    var_k = float(pk @ (k - mean_k) ** 2)
+    z = (degrees.mean(axis=0) - mean_k) / math.sqrt(var_k / runs)
+    assert np.abs(z).max() < z_bound, (int(np.abs(z).argmax()), np.abs(z).max())
 
 
 def test_dprime_grows_logarithmically():

@@ -269,6 +269,8 @@ def test_growth_curves_shape_and_determinism():
     ((1.0,), 0, 9, "^realizations must be >= 1$"),
     ((1.0,), 1, -1, "^master_seed must fit in 64 unsigned bits$"),
     ((1.0,), 1, 2**64, "^master_seed must fit in 64 unsigned bits$"),
+    ((0.0, -0.0), 1, 9, r"^alphas must be distinct, got \(0\.0, -0\.0\)$"),
+    ((1.0, 2.0, 1), 1, 9, r"^alphas must be distinct, got \(1\.0, 2\.0, 1\.0\)$"),
 ])
 def test_growth_curves_and_sweep_spec_reject_bad_rows_alike(
         alphas, realizations, master_seed, message):
@@ -278,6 +280,12 @@ def test_growth_curves_and_sweep_spec_reject_bad_rows_alike(
         SweepSpec(alphas=alphas, snapshot_nodes=(10,), realizations=realizations,
                   master_seed=master_seed)
     assert str(growth_err.value) == str(spec_err.value)
+
+
+def test_build_many_keeps_repeated_alphas(table_30k):
+    """Its rows are positional, so a repeated alpha is just another row."""
+    g0, g1, g2 = build_many(table_30k, (0.0, -0.0, 0.0), [5], max_even=500)
+    assert g0.edge_p.tobytes() == g1.edge_p.tobytes() == g2.edge_p.tobytes()
 
 
 def test_growth_curves_of_many_alphas_equal_single_alpha_calls():

@@ -12,7 +12,7 @@ import pytest
 from goldbachnet import SweepSpec, cli, ensemble
 from goldbachnet.baseline import sample_gnm
 from goldbachnet.cli import main
-from goldbachnet.figures import FIGURE_DEFAULTS, figure_tables
+from goldbachnet.figures import FIGURE_DEFAULTS, alpha_label, figure_tables
 
 
 def _read_csv(path):
@@ -361,6 +361,9 @@ SWEEP = ["sweep", "--alphas", "0", "--snapshots", "50", "--realizations", "2",
 FIGURE_6 = ["figure", "6", "--alphas", "0,-1", "--max-even", "2000",
             "--realizations", "2", "--workers"]
 BUILD = ["build", "--alpha", "0", "--target-nodes", "50", "--max-even-cap", "20000"]
+WRITERS = ("cli.write_csv", "cli._write_json", "netbuild.PrimeGraph.write_edge_list")
+WRITE_FAULTS = (("_value_error", "ValueError('injected')"),
+                ("_task_raises", "RuntimeError('injected fault')"))
 
 
 @pytest.mark.parametrize("patched, fault, argv, message", [
@@ -383,8 +386,11 @@ BUILD = ["build", "--alpha", "0", "--target-nodes", "50", "--max-even-cap", "200
                  "IndexError('injected')", id="build-IndexError"),
     *[pytest.param("cli.write_csv", fault, argv, message, id=f"write-{argv[0]}-{fault}")
       for argv in (BUILD, [*SWEEP, "1", "--format", "csv"], [*FIGURE_6, "1"])
-      for fault, message in (("_value_error", "ValueError('injected')"),
-                             ("_task_raises", "RuntimeError('injected fault')"))],
+      for fault, message in WRITE_FAULTS],
+    *[pytest.param(writer, fault, argv, message, id=f"{writer}-{argv[0]}-{fault}")
+      for writer, argv in (("cli._write_json", BUILD), ("cli._write_json", [*SWEEP, "1"]),
+                           ("netbuild.PrimeGraph.write_edge_list", BUILD))
+      for fault, message in WRITE_FAULTS],
     pytest.param("figures._TABLE_KINDS['vs_N']", "_value_error",
                  ["figure", "8", "--alphas", "0", "--snapshots", "50", "--realizations",
                   "2", "--max-even-cap", "20000", "--workers", "1"],
@@ -412,7 +418,7 @@ def test_cli_failed_pool_exits_3_with_one_line(tmp_path, patched, fault, argv, m
     assert proc.stderr.startswith(f"error: run failed: {message}"), proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
     assert not (out / "manifest.json").exists()
-    assert not out.exists() or patched == "cli.write_csv"
+    assert not out.exists() or patched in WRITERS
 
 
 def test_cli_write_os_error_exits_3_naming_its_file(tmp_path, monkeypatch, capsys):
@@ -428,6 +434,40 @@ def test_cli_write_os_error_exits_3_naming_its_file(tmp_path, monkeypatch, capsy
     assert err.startswith("error: [Errno 13] Permission denied: ") and err.count("\n") == 1
     assert str(out / "distributions") in err
     assert not (out / "manifest.json").exists()
+
+
+def test_close_alphas_get_distinct_labels(tmp_path):
+    """A label is the ``:g`` text where that reads back as the alpha, else its
+    repr, so alphas that ``:g`` rounds alike stay apart in every table."""
+    close = (0.1234567, 0.1234568)
+    assert [alpha_label(a) for a in (*close, -0.0, 2.0, -1.8, float("-inf"))] == [
+        "0.1234567", "0.1234568", "-0", "2", "-1.8", "-inf"]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--alphas", "0.1234567,0.1234568", "--snapshots", "50",
+                 "--realizations", "1", "--max-even-cap", "20000", "--format", "csv",
+                 "--out", str(out)]) == 0
+    rows = (out / "cells.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0.1234567", "0.1234568"}
+    kw = dict(alphas=close, snapshots=(50,), realizations=1, max_even_cap=20_000)
+    assert [row[0] for row in figure_tables(10, **kw)["r_vs_alpha"].rows] == [
+        "0.1234567", "0.1234568"]
+    assert figure_tables(8, **kw)["kmax_vs_N"].header[1::2] == [
+        "k_max_mean[alpha=0.1234567]", "k_max_mean[alpha=0.1234568]"]
+
+
+def test_cli_repeated_alphas_exit_2(tmp_path, capsys):
+    """A cell is found by its alpha, so alphas equal as floats, 0 and -0
+    among them, are refused before the sieve."""
+    cap = ["--max-even-cap", "20000"]
+    for argv, alphas in (
+            (["sweep", "--alphas", "0,-0", "--snapshots", "50", *cap], "(0.0, -0.0)"),
+            (["figure", "1", "--alphas=0,-0", "--snapshots", "50", *cap], "(0.0, -0.0)"),
+            (["figure", "6", "--alphas", "1,2,1", "--max-even", "200"],
+             "(1.0, 2.0, 1.0)")):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"error: alphas must be distinct, got {alphas}\n"
+        assert not out.exists()
 
 
 def test_cli_nan_alpha_exit_2(tmp_path):
