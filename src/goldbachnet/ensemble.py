@@ -24,6 +24,7 @@ from .netbuild import (_build_rows, _check_even_bound, _share_table, check_run,
 from .primes import build_table
 
 DEFAULT_MAX_EVEN_CAP = 1_000_000  # sieve bound of node-count builds and sweeps
+_FOLD_COLUMNS = 1024  # node-count history columns averaged at a time
 
 SEED_RULE = (
     "uint64 from SeedSequence(master_seed, spawn_key): builds (0, realization); "
@@ -281,6 +282,20 @@ def run_sweep(spec, workers=1):
     return EnsembleResult(spec=spec, cells=cells, warnings=warnings)
 
 
+def _column_mean_std(histories):
+    """Mean and sample std (0 for one) of equal-length int arrays at each
+    position, a block of positions at a time: an axis-0 mean or std folds
+    each column alone, so the doubles equal those of the whole float stack."""
+    n_mean, n_std = np.empty(histories[0].size), np.zeros(histories[0].size)
+    for j in range(0, n_mean.size, _FOLD_COLUMNS):
+        cols = slice(j, j + _FOLD_COLUMNS)
+        block = np.array([h[cols] for h in histories], dtype=float)
+        n_mean[cols] = block.mean(axis=0)
+        if len(histories) > 1:
+            n_std[cols] = np.std(block, axis=0, ddof=1)
+    return n_mean, n_std
+
+
 @dataclass
 class GrowthCurves:
     """Ensemble mean of the node count as a function of the link count M,
@@ -306,8 +321,6 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     with _sieve_and_pool(max_even, workers) as (table, pool):
         rows = _build_rows(table, alphas, seeds, max_even, (), pool)
         for ai, group in groupby(rows, key=lambda row: row[0] // realizations):
-            hist = np.vstack([g.node_count_history for *_, g in group]).astype(float)
-            n_std = (np.std(hist, axis=0, ddof=1) if realizations > 1
-                     else np.zeros(hist.shape[1]))
-            curves.append(GrowthCurves(alphas[ai], hist.mean(axis=0), n_std))
+            curves.append(GrowthCurves(alphas[ai], *_column_mean_std(
+                [g.node_count_history for *_, g in group])))
     return curves

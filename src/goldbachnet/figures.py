@@ -22,6 +22,8 @@ are averaged only over the realizations that contain the bin, because an
 absent bin there means no data rather than zero clustering.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +67,43 @@ FIGURE_DEFAULTS = {
 
 @dataclass
 class Table:
-    """One CSV-ready table: header names plus rows of cells."""
+    """One CSV-ready table: header names plus rows of cells, each a list of
+    Python int, float, str or None. ``rows`` is a list, except for preset 6,
+    whose rows are a read-only sequence built from the growth curves on
+    access."""
 
     header: list
-    rows: list
+    rows: Sequence
+
+
+class _GrowthRows(Sequence):
+    """Figure 6's rows: M, then the mean and std of N per alpha. Each row is
+    built on access, a block of rows at a time when iterated, from the
+    curves' arrays, so the table holds no Python object per cell."""
+
+    _BLOCK = 1024
+
+    def __init__(self, curves):
+        self._columns = [x for c in curves for x in (c.n_mean, c.n_std)]
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def _rows(self, start, stop):
+        cols = np.column_stack([x[start:stop] for x in self._columns]).tolist()
+        return [[m, *row] for m, row in enumerate(cols, start + 1)]
+
+    def __getitem__(self, index):
+        i = range(len(self))[operator.index(index)]  # IndexError out of range
+        return self._rows(i, i + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), self._BLOCK):
+            yield from self._rows(start, start + self._BLOCK)
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
 
 
 def alpha_label(alpha):
@@ -181,11 +216,8 @@ def figure_tables(figure_id, *, alphas=None, snapshots=None, realizations=None,
     if "max_even" in preset:
         max_even = preset["max_even"] if max_even is None else max_even
         curves = growth_curves(alphas, max_even, realizations, master_seed, workers)
-        with _failed_run():
-            cols = np.column_stack([x for c in curves for x in (c.n_mean, c.n_std)])
-            rows = [[m, *row] for m, row in enumerate(cols.tolist(), 1)]
-            header = _alpha_columns("M", "N", ("mean", "std"), alphas)
-            return {"N_vs_M": Table(header, rows)}
+        header = _alpha_columns("M", "N", ("mean", "std"), alphas)
+        return {"N_vs_M": Table(header, _GrowthRows(curves))}
 
     spec = SweepSpec(
         alphas=alphas,

@@ -83,7 +83,8 @@ def test_uniformity_over_all_three_edge_graphs_on_four_nodes():
 
 
 def test_clustering_matches_erdos_renyi_expectation():
-    # ensemble mean C' ~ <k>/(N-1) for G(N, M)
+    # ensemble mean C' against the exact E[C'] of G(N, M), 0.0059034 here;
+    # the approximation <k>/(N-1) = 0.0060060 is 1.7% above it
     n, m, runs = 1000, 3000, 50
     cs = []
     for seed in range(runs):
@@ -91,7 +92,7 @@ def test_clustering_matches_erdos_renyi_expectation():
 
         cs.append(clustering(sample_gnm(n, m, seed))[0])
     cs = np.array(cs)
-    expected = 6 / 999
+    expected = gnm_expected_clustering(n, m)
     assert abs(cs.mean() - expected) < 3 * cs.std(ddof=1) / np.sqrt(runs)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goldbachnet import SweepSpec, cli, ensemble
+from goldbachnet import SweepSpec, cli, ensemble, figures
 from goldbachnet.baseline import sample_gnm
 from goldbachnet.cli import main
 from goldbachnet.figures import FIGURE_DEFAULTS, alpha_label, figure_tables
@@ -63,6 +63,32 @@ def test_figure6_growth_table():
     assert table.header[0] == "M"
     assert len(table.rows) == (400 - 8) // 2 + 1
     assert table.rows[0][0] == 1
+
+
+def test_figure6_rows_agree_across_row_blocks():
+    # 3 blocks and 5 rows: iteration, indexing and len cross every block edge
+    block = figures._GrowthRows._BLOCK
+    kw = {"alphas": (2.0, -1.0), "realizations": 3, "master_seed": 4,
+          "max_even": 8 + 2 * (3 * block + 4)}
+    table = figure_tables(6, **kw)["N_vs_M"]
+    curves = ensemble.growth_curves(kw["alphas"], kw["max_even"], 3, 4)
+    expected = [[m, *(float(x[m - 1]) for c in curves for x in (c.n_mean, c.n_std))]
+                for m in range(1, 3 * block + 6)]
+    rows = table.rows
+    assert not isinstance(rows, list)
+    assert len(rows) == len(expected)
+    assert list(rows) == expected
+    for i in (0, block - 1, block, 2 * block - 1, 2 * block, 3 * block, -1,
+              -len(expected)):
+        assert rows[i] == expected[i]
+    assert type(rows[-1][0]) is int and {type(c) for c in rows[-1][1:]} == {float}
+    for i in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+    assert rows == expected and expected == rows
+    assert rows != expected[:-1] and rows != expected[:-1] + [expected[0]]
+    assert figure_tables(6, **kw)["N_vs_M"] == table
+    assert figure_tables(6, **kw | {"master_seed": 5})["N_vs_M"] != table
 
 
 @pytest.mark.parametrize("figure_id, stop", [

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldbachnet import PrimeGraph, build, build_many, build_table, decompose
+from goldbachnet.cli import write_csv
 from goldbachnet.errors import SieveExhausted
 from goldbachnet.figures import figure_tables
 from goldbachnet.netbuild import (_RESET, _build_rows, _chunk_picks, _new_endpoints,
@@ -717,13 +718,31 @@ def test_twenty_seed_build_memory_stays_bounded(table_1m):
 
 
 def test_growth_figure_memory_stays_bounded():
-    # 100 rows of 9997 edges in one pass, run alone: about 8.7 MB with 3-byte
-    # chunk records, 10.4 MB with 5-byte ones, 16.4 MB with 12-byte ones,
-    # 16.6 MB if the 100 graphs are kept
+    # 100 rows of 9997 edges in one pass, 3-byte chunk records: about 5.8 MB
+    # run alone and 5.2 MB within the suite, with each alpha's histories
+    # averaged a column block at a time; 8.4 MB alone and 7.7 MB within the
+    # suite from one float stack of them; 10.4 MB with 5-byte records,
+    # 16.4 MB with 12-byte ones, 16.6 MB if the 100 graphs are kept
     tracemalloc.start()
     try:
         figure_tables(6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    assert peak < 7 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+
+
+def test_growth_figure_table_is_written_in_bounded_memory(tmp_path):
+    # 19 997 rows of 5 cells, built and written: about 1.8 MB within the
+    # suite (2.4 MB run alone) with the rows built a block at a time as they
+    # are written, 7.9 MB with a Python object per cell held for the table
+    tracemalloc.start()
+    try:
+        table = figure_tables(6, alphas=(0.0, -2.0), realizations=2,
+                              max_even=40_000)["N_vs_M"]
+        write_csv(tmp_path / "N_vs_M.csv", table.header, table.rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "N_vs_M.csv").read_text().splitlines()) == 1 + 19_997
+    assert peak < 4 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
