@@ -1,5 +1,7 @@
 """Uniform G(N, M) null model matched to a measured graph."""
 
+import operator
+
 import numpy as np
 
 from .netbuild import check_seed
@@ -41,9 +43,10 @@ def sample_gnm(n_nodes, m_edges, seed):
     N**2/2 in every use here, so rejection stays cheap. Raises ValueError
     below 2 nodes, above 3 037 000 500 nodes (pair keys ``lo * n + hi`` would
     overflow int64), unless 0 <= m_edges <= n_nodes * (n_nodes - 1) / 2, or
-    for a seed outside 64 unsigned bits.
+    for a seed outside 64 unsigned bits; TypeError unless both counts are
+    integral (numpy ints are).
     """
-    n, m = n_nodes, m_edges
+    n, m = operator.index(n_nodes), operator.index(m_edges)
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if n * (n - 1) > 2**63:

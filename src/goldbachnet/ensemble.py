@@ -10,7 +10,6 @@ snapshot index s) uses ``spawn_key=(1, a, i, s)``.
 import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 from typing import ClassVar
 
 import numpy as np
@@ -19,12 +18,11 @@ from .baseline import sample_gnm
 from .errors import GoldbachNetError
 from .metrics import (CLUSTERING_CONVENTIONS, DISTRIBUTIONS, SCALAR_FIELDS,
                       compute_report)
-from .netbuild import (_build_rows, _check_even_bound, _share_table, check_run,
-                       check_seed)
+from .netbuild import (_build_rows, _check_even_bound, _chunk_records, _share_table,
+                       check_run, check_seed)
 from .primes import build_table
 
 DEFAULT_MAX_EVEN_CAP = 1_000_000  # sieve bound of node-count builds and sweeps
-_FOLD_COLUMNS = 1024  # node-count history columns averaged at a time
 
 SEED_RULE = (
     "uint64 from SeedSequence(master_seed, spawn_key): builds (0, realization); "
@@ -222,6 +220,7 @@ def _failed_run():
 def _sieve_and_pool(limit, workers):
     """Check ``workers``, then yield the sieve up to ``limit`` and a pool of
     ``workers`` processes sharing it, or None for one, as a ``_failed_run``."""
+    workers = operator.index(workers)  # a TypeError unless integral
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = build_table(limit)
@@ -282,20 +281,6 @@ def run_sweep(spec, workers=1):
     return EnsembleResult(spec=spec, cells=cells, warnings=warnings)
 
 
-def _column_mean_std(histories):
-    """Mean and sample std (0 for one) of equal-length int arrays at each
-    position, a block of positions at a time: an axis-0 mean or std folds
-    each column alone, so the doubles equal those of the whole float stack."""
-    n_mean, n_std = np.empty(histories[0].size), np.zeros(histories[0].size)
-    for j in range(0, n_mean.size, _FOLD_COLUMNS):
-        cols = slice(j, j + _FOLD_COLUMNS)
-        block = np.array([h[cols] for h in histories], dtype=float)
-        n_mean[cols] = block.mean(axis=0)
-        if len(histories) > 1:
-            n_std[cols] = np.std(block, axis=0, ddof=1)
-    return n_mean, n_std
-
-
 @dataclass
 class GrowthCurves:
     """Ensemble mean of the node count as a function of the link count M,
@@ -310,17 +295,26 @@ def growth_curves(alphas, max_even, realizations, master_seed, workers=1):
     """One GrowthCurves per alpha: N(M) averaged over seeded realizations.
 
     One construction pass, on a pool when ``workers`` > 1, builds every row
-    to ``max_even``, so M = 1..(max_even - 8)/2 + 1 for all, and keeps only
-    node-count histories; each curve equals that of its alpha alone.
+    to ``max_even``, so M = 1..(max_even - 8)/2 + 1 for all, and folds each
+    chunk into the curves as it arrives; nothing else of a row is kept. A
+    mean or std over the realization axis folds each (alpha, M) alone, so the
+    doubles equal those of one float stack of an alpha's whole histories, and
+    each curve equals that of its alpha alone.
     """
     max_even = operator.index(max_even)
     alphas, realizations, master_seed = _check_rows(
         np.ravel(alphas), (max_even, None), realizations, master_seed)
     seeds = [realization_seed(master_seed, i) for i in range(realizations)]
-    curves = []
+    n_evens = (max_even - 8) // 2 + 1
+    n_mean, n_std = np.empty((len(alphas), n_evens)), np.zeros((len(alphas), n_evens))
+    nodes, m = np.zeros((len(alphas), realizations, 1)), 0  # node counts, M so far
     with _sieve_and_pool(max_even, workers) as (table, pool):
-        rows = _build_rows(table, alphas, seeds, max_even, (), pool)
-        for ai, group in groupby(rows, key=lambda row: row[0] // realizations):
-            curves.append(GrowthCurves(alphas[ai], *_column_mean_std(
-                [g.node_count_history for *_, g in group])))
-    return curves
+        for _, _, new in _chunk_records(table, alphas, seeds, max_even, np.inf, pool):
+            new = new.reshape(len(alphas), realizations, -1)  # no row stops
+            history = nodes + new.cumsum(axis=2, dtype=float)  # integral, so exact
+            nodes, cols = history[..., -1:], slice(m, m + new.shape[2])
+            m = cols.stop
+            n_mean[:, cols] = history.mean(axis=1)
+            if realizations > 1:
+                n_std[:, cols] = np.std(history, axis=1, ddof=1)
+    return [GrowthCurves(*curve) for curve in zip(alphas, n_mean, n_std)]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import SieveExhausted
 from .goldbach import _window, decompose
 
-# even numbers per node-counting pass of _build_rows, and per decompose and
+# even numbers per chunk of _chunk_records, and per decompose and
 # pick within it (whole-chunk blocks leave multi-MB temporaries on the heap)
 _CHUNK = 256
 _BLOCK = 32
@@ -227,40 +227,26 @@ def _new_endpoints(seen, rows, idx):
                   .astype(np.uint8).reshape(idx.shape[:2]))
 
 
-def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
-    """Build the alpha-major rows of checked ``alphas`` by int ``seeds``.
-
-    Yields ``(row, k, snapshot)`` when a row first reaches ``marks[k]``, cut
-    at the first crossing; a row stops at the last mark, and rows short of
-    it at the last even number come last, whole and in row order, with
-    ``k = len(marks)``. A ``pool`` set up by ``_share_table(table)`` runs
-    ``_chunk_picks`` with one more chunk in flight than it has workers: chunk
-    uniforms are drawn here, in order, for the rows active at submission;
-    picks of rows since stopped are cut. A chunk's record holds every active
-    row: 3 bytes per edge, p's prime index (uint16 below a cap of about
-    1.6e6) and uint8 new endpoints, all dropped when the last row stops.
+def _chunk_records(table, alphas, seeds, max_even, target, pool=None):
+    """Yield ``(rows, ip, new)`` per chunk of the alpha-major rows of checked
+    ``alphas`` by int ``seeds``: the rows still short of ``target`` nodes, p's
+    prime index of each edge, uint16 below a cap of about 1.6e6, and its uint8
+    count of endpoints new to its row. A ``pool`` set up by
+    ``_share_table(table)`` runs ``_chunk_picks`` with one more chunk in
+    flight than it has workers: chunk uniforms are drawn here, in order, for
+    the rows active at submission; picks of rows since stopped are cut.
     """
     gens = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(s)))
             for s in seeds]
     finite = np.isfinite(alphas)
     n_seeds, n_rows = len(seeds), len(alphas) * len(seeds)
-    target = marks[-1] if marks else math.inf
     last_even = table.limit if max_even is None else max_even
     n_evens = max((last_even - 8) // 2 + 1, 0)
     # p is at most half the last even, so its index fits the count of such primes
     index_type = np.min_scalar_type(np.sum(table.ordered_primes <= table.limit // 2))
     seen = np.zeros((n_rows, _CHUNK), dtype=bool)  # grows with the picked primes
-    count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
+    count = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
-    records = [(active, *np.zeros((2, n_rows, 0), dtype=index_type))]  # (rows, ip, new)
-
-    def graph(r):
-        at = [rec[0].searchsorted(r) for rec in records]  # r's row in each record
-        ip, new = (np.concatenate([rec[x][i] for rec, i in zip(records, at)])
-                   for x in (1, 2))
-        return PrimeGraph(table.ordered_primes[ip].astype(np.int32),
-                          np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
-                          seeds[r % n_seeds])
 
     def submit(j):
         size = min(_CHUNK, n_evens - j)
@@ -282,17 +268,44 @@ def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
         j, rows, picks = pending.popleft()
         idx = picks()[np.searchsorted(rows, active)]
         seen, new = _new_endpoints(seen, active, idx)
-        records.append((active, idx[..., 0].astype(index_type), new))
+        yield active, idx[..., 0].astype(index_type), new
         count[active] += new.sum(axis=1, dtype=np.int64)
-        for r in active.tolist():
-            while reached[r] < len(marks) and count[r] >= marks[reached[r]]:
-                yield r, int(reached[r]), graph(r).snapshot_at(marks[reached[r]])
-                reached[r] += 1
         active = active[count[active] < target]
         if active.size:
             pending.extend(map(submit, islice(starts, 1)))
 
-    for r in active.tolist():
+
+def _build_rows(table, alphas, seeds, max_even, marks, pool=None):
+    """Build the alpha-major rows of checked ``alphas`` by int ``seeds``.
+
+    Yields ``(row, k, snapshot)`` when a row first reaches ``marks[k]``, cut
+    at the first crossing; a row stops at the last mark, and rows short of
+    it at the last even number come last, whole and in row order, with
+    ``k = len(marks)``. ``pool`` runs the chunks as in ``_chunk_records``,
+    whose records are kept, 3 bytes per edge, until the last row stops.
+    """
+    n_seeds, n_rows = len(seeds), len(alphas) * len(seeds)
+    target = marks[-1] if marks else math.inf
+    count, reached = np.zeros((2, n_rows), dtype=np.int64)  # nodes, marks per row
+    records = [(np.arange(n_rows), *np.zeros((2, n_rows, 0), dtype=np.uint8))]
+
+    def graph(r):
+        at = [rec[0].searchsorted(r) for rec in records]  # r's row in each record
+        ip, new = (np.concatenate([rec[x][i] for rec, i in zip(records, at)])
+                   for x in (1, 2))
+        return PrimeGraph(table.ordered_primes[ip].astype(np.int32),
+                          np.cumsum(new, dtype=np.int32), alphas[r // n_seeds],
+                          seeds[r % n_seeds])
+
+    for rows, ip, new in _chunk_records(table, alphas, seeds, max_even, target, pool):
+        records.append((rows, ip, new))
+        count[rows] += new.sum(axis=1, dtype=np.int64)
+        for r in rows.tolist():
+            while reached[r] < len(marks) and count[r] >= marks[reached[r]]:
+                yield r, int(reached[r]), graph(r).snapshot_at(marks[reached[r]])
+                reached[r] += 1
+
+    for r in np.flatnonzero(count < target).tolist():
         yield r, len(marks), graph(r)
 
 

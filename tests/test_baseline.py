@@ -31,6 +31,11 @@ def test_infeasible():
         sample_gnm(4, -1, seed=1)
     with pytest.raises(ValueError, match="^need at least 2 nodes, got 1$"):
         sample_gnm(1, 0, seed=1)
+    # fractional counts are refused before any draw; numpy ints are counts
+    for n, m in ((10.5, 3), (10, 3.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sample_gnm(n, m, seed=1)
+    assert sample_gnm(np.int64(4), np.int64(6), seed=1).num_edges == 6
 
 
 @pytest.mark.parametrize("n, packed", [(2**22, True), (2**29, False),

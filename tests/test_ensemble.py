@@ -23,6 +23,7 @@ from goldbachnet import (
 )
 from goldbachnet import ensemble
 from goldbachnet.ensemble import SEED_RULE
+from goldbachnet.figures import figure_tables
 from goldbachnet.metrics import SCALAR_FIELDS
 
 ALPHA_TOO_LARGE = r"^finite \|alpha\| must be <= 2.809e\+306; use \+inf/-inf$"
@@ -364,6 +365,22 @@ def test_spec_stores_the_ints_it_checked():
         growth_curves((0.0,), 500, realizations=2.5, master_seed=1)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         growth_curves([0.0], 200.7, 2, 1)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2"])
+def test_non_integral_workers_are_refused_before_the_sieve(monkeypatch, workers):
+    def no_sieve(limit):
+        raise AssertionError("built the sieve for a refused worker count")
+
+    monkeypatch.setattr(ensemble, "build_table", no_sieve)
+    spec = SweepSpec(alphas=(0.0,), snapshot_nodes=(50,), realizations=2,
+                     max_even_cap=20_000)
+    for run in (lambda: run_sweep(spec, workers=workers),
+                lambda: growth_curves((0.0,), 2_000, 2, 1, workers=workers),
+                lambda: figure_tables(6, alphas=(0.0,), realizations=2, max_even=2_000,
+                                      workers=workers)):
+        with pytest.raises(TypeError):
+            run()
 
 
 def test_json_document_roundtrip():

@@ -97,13 +97,15 @@ def test_figure6_rows_agree_across_row_blocks():
 ])
 def test_figure_passes_realizations_through(monkeypatch, figure_id, stop):
     # SweepSpec and growth_curves check the count as passed: 2.5 is refused
-    # before any build, not truncated to 2, and a numpy int runs as its int;
-    # the same holds for figure 6's max_even
+    # before any build (neither construction pass is entered), not truncated
+    # to 2, and a numpy int runs as its int; the same holds for figure 6's
+    # max_even
     def no_build(*args):
         raise AssertionError("built rows for a refused realization count")
 
     with monkeypatch.context() as patch:
         patch.setattr(ensemble, "_build_rows", no_build)
+        patch.setattr(ensemble, "_chunk_records", no_build)
         with pytest.raises(TypeError):
             figure_tables(figure_id, alphas=(0.0,), realizations=2.5, **stop)
         if "max_even" in stop:

@@ -717,25 +717,31 @@ def test_twenty_seed_build_memory_stays_bounded(table_1m):
     assert peak < 12.5 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
 
 
-def test_growth_figure_memory_stays_bounded():
-    # 100 rows of 9997 edges in one pass, 3-byte chunk records: about 5.8 MB
-    # run alone and 5.2 MB within the suite, with each alpha's histories
-    # averaged a column block at a time; 8.4 MB alone and 7.7 MB within the
-    # suite from one float stack of them; 10.4 MB with 5-byte records,
-    # 16.4 MB with 12-byte ones, 16.6 MB if the 100 graphs are kept
+@pytest.mark.parametrize("max_even", [20_000, 40_000])
+def test_growth_figure_memory_stays_bounded(max_even):
+    # 100 rows in one pass, each chunk folded into the curves as it arrives:
+    # past the curves returned (5 alphas, a mean and a std per M) about 3.0
+    # and 3.1 MB within the suite at max_even 20 000 and 40 000 (3.6 and
+    # 3.7 MB run alone); 4.4 and 8.5 MB (5.1 and 9.1) when every 3-byte
+    # chunk record was kept to the end of the pass and each alpha's
+    # histories were folded then, a column block at a time
+    curves = 5 * 2 * 8 * ((max_even - 8) // 2 + 1)
     tracemalloc.start()
     try:
-        figure_tables(6)
+        figure_tables(6, max_even=max_even)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    past = (peak - curves) / 2**20
+    assert past < 5, f"{past:.2f} MB past the curves, {peak / 2**20:.2f} MB peak"
 
 
 def test_growth_figure_table_is_written_in_bounded_memory(tmp_path):
-    # 19 997 rows of 5 cells, built and written: about 1.8 MB within the
-    # suite (2.4 MB run alone) with the rows built a block at a time as they
-    # are written, 7.9 MB with a Python object per cell held for the table
+    # 19 997 rows of 5 cells, built and written: about 2.1 MB within the
+    # suite (2.9 MB run alone) with the rows built a block at a time as they
+    # are written and the curves held through the pass (1.8 and 2.5 MB when
+    # they were made after it), 7.9 MB with a Python object per cell held
+    # for the table
     tracemalloc.start()
     try:
         table = figure_tables(6, alphas=(0.0, -2.0), realizations=2,
